@@ -231,6 +231,7 @@ class IndexAdapter : public Base {
       out.recovery_source = s.recovery_source;
       out.recovery_replayed = s.recovery_replayed;
       out.recovery_staleness = s.recovery_staleness;
+      out.recovery_file_ms = s.recovery_file_ms;
     }
     // Log-compaction telemetry (hybrid only).
     if constexpr (requires { s.compactions; }) {

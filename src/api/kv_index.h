@@ -79,9 +79,12 @@ struct IndexStats {
   // `recovery_replayed` counts the tail records applied on top of the
   // checkpoint and `recovery_staleness` the committed seqs past the
   // checkpoint frontier (0 after a quiesced clean close).
+  // `recovery_file_ms` is the checkpoint file layer alone (read plus
+  // checksum) within that open.
   RecoverySource recovery_source = RecoverySource::kNative;
   uint64_t recovery_replayed = 0;
   uint64_t recovery_staleness = 0;
+  double recovery_file_ms = 0.0;
   // Hybrid log compaction telemetry (cumulative since open; zeros for
   // PM-native tables). `log_dead_slots` counts recycled-then-freed record
   // slots across lanes; `compaction_dead_ratio` is the worst per-lane

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "pmem/crash_point.h"
+#include "pmem/index_persist.h"
 #include "util/hash.h"
 #include "util/thread_id.h"
 
@@ -31,9 +32,11 @@ namespace {
 // filesystem that does not make small writes atomic) is detected and the
 // open fails instead of trusting a half-written configuration. The file
 // is replaced via write-to-temp + rename — after any crash the path holds
-// either the complete old manifest or the complete new one. The epoch
-// counts manifest rewrites (diagnostics). Legacy v1 manifests
-// ("<shards> <kind>") are accepted and upgraded in place.
+// either the complete old manifest or the complete new one; the temp is
+// fdatasync'd before the rename and the directory fsync'd after it, so
+// that also holds across a power loss. The epoch counts manifest
+// rewrites (diagnostics). Legacy v1 manifests ("<shards> <kind>") are
+// accepted and upgraded in place.
 
 uint64_t ManifestChecksum(size_t shards, const std::string& kind_name,
                           uint64_t epoch) {
@@ -48,22 +51,19 @@ uint64_t ManifestChecksum(size_t shards, const std::string& kind_name,
 bool WriteManifestV2(const std::string& path, size_t shards, IndexKind kind,
                      uint64_t epoch) {
   const std::string kind_name = IndexKindName(kind);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    out << "v2 " << shards << ' ' << kind_name << ' ' << epoch << ' '
-        << std::hex << ManifestChecksum(shards, kind_name, epoch) << '\n';
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  CRASH_POINT("manifest_before_rename");
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+  char line[128];
+  const int len = std::snprintf(
+      line, sizeof(line), "v2 %zu %s %llu %llx\n", shards, kind_name.c_str(),
+      static_cast<unsigned long long>(epoch),
+      static_cast<unsigned long long>(
+          ManifestChecksum(shards, kind_name, epoch)));
+  if (len <= 0 || static_cast<size_t>(len) >= sizeof(line)) return false;
+  pmem::AtomicFileWriter file(path);
+  if (!file.Write(line, static_cast<size_t>(len)) || !file.Sync()) {
     return false;
   }
+  CRASH_POINT("manifest_before_rename");
+  if (!file.Publish()) return false;
   CRASH_POINT("manifest_after_rename");
   return true;
 }
@@ -171,6 +171,7 @@ std::unique_ptr<ShardedStore> ShardedStore::Open(
   report.shard_source.assign(options.shards, "quarantined");
   report.shard_replayed.assign(options.shards, 0);
   report.shard_staleness.assign(options.shards, 0);
+  report.shard_file_ms.assign(options.shards, 0.0);
 
   const size_t hw = std::max(1u, std::thread::hardware_concurrency());
   const size_t threads =
@@ -239,6 +240,7 @@ std::unique_ptr<ShardedStore> ShardedStore::Open(
         report.shard_source[i] = RecoverySourceName(stats.recovery_source);
         report.shard_replayed[i] = stats.recovery_replayed;
         report.shard_staleness[i] = stats.recovery_staleness;
+        report.shard_file_ms[i] = stats.recovery_file_ms;
       }
     }
     if (!ok) {
@@ -400,6 +402,7 @@ Status ShardedStore::RecoverShard(size_t i) {
   recovery_.shard_source[i] = RecoverySourceName(stats.recovery_source);
   recovery_.shard_replayed[i] = stats.recovery_replayed;
   recovery_.shard_staleness[i] = stats.recovery_staleness;
+  recovery_.shard_file_ms[i] = stats.recovery_file_ms;
   if (executor_ != nullptr) executor_->SetIndex(i, shard.index.get());
   quarantined_[i].store(false, std::memory_order_release);
   return Status::kOk;

@@ -169,10 +169,12 @@ struct RecoveryReport {
   // "checkpoint" (RecoverySourceName), "quarantined" when the shard
   // failed open. Replayed = log records applied past the checkpoint's
   // watermarks; staleness = log sequence numbers the checkpoint was
-  // behind the tail at open (both 0 unless source == "checkpoint").
+  // behind the tail at open; file_ms = checkpoint read plus checksum
+  // (all 0 unless source == "checkpoint").
   std::vector<std::string> shard_source;
   std::vector<uint64_t> shard_replayed;
   std::vector<uint64_t> shard_staleness;
+  std::vector<double> shard_file_ms;
 };
 
 class ShardedStore {

@@ -47,7 +47,9 @@
 #define DASH_PM_HYBRID_HYBRID_TABLE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -68,6 +70,7 @@
 #include "pmem/index_persist.h"
 #include "pmem/persist.h"
 #include "pmem/pool.h"
+#include "util/aligned_alloc.h"
 #include "util/amac.h"
 #include "util/lock.h"
 #include "util/prefetch.h"
@@ -228,15 +231,22 @@ struct HybridDirectory {
 // applied to the volatile half): segments are carved from slabs and
 // handed out from a free list, refilled a slab at a time at a low-water
 // mark, so a split's allocation is a pop — slab growth is amortized and
-// never involves the PM allocator.
+// never involves the PM allocator. A checkpoint load hands the arena a
+// whole slab of already-live segments (Adopt), read straight from the
+// checkpoint file at the arena's stride.
 class SegmentArena {
  public:
   SegmentArena(size_t seg_bytes, size_t prealloc)
-      : seg_bytes_((seg_bytes + 63) & ~size_t{63}) {
+      : seg_bytes_(Stride(seg_bytes)) {
     Refill(prealloc > kSlabSegments ? prealloc : kSlabSegments);
   }
   SegmentArena(const SegmentArena&) = delete;
   SegmentArena& operator=(const SegmentArena&) = delete;
+
+  // Distance between segments in a slab: whole cachelines.
+  static size_t Stride(size_t seg_bytes) {
+    return (seg_bytes + 63) & ~size_t{63};
+  }
 
   void* Get() {
     util::SpinLockGuard g(lock_);
@@ -246,23 +256,50 @@ class SegmentArena {
     return p;
   }
 
+  // Takes ownership of a slab whose segments are all in use.
+  void Adopt(util::AlignedBytes slab) {
+    util::SpinLockGuard g(lock_);
+    slabs_.push_back(std::move(slab));
+  }
+
  private:
   static constexpr size_t kSlabSegments = 16;
   static constexpr size_t kLowWater = 2;
 
+  // Slab memory is left uninitialised: NewSegment zeroes each segment as
+  // it is handed out.
   void Refill(size_t n) {
-    auto slab = std::make_unique<char[]>(n * seg_bytes_ + 63);
-    char* base = reinterpret_cast<char*>(
-        (reinterpret_cast<uintptr_t>(slab.get()) + 63) & ~uintptr_t{63});
-    for (size_t i = 0; i < n; ++i) free_.push_back(base + i * seg_bytes_);
+    util::AlignedBytes slab = util::AllocAligned(n * seg_bytes_);
+    for (size_t i = 0; i < n; ++i) free_.push_back(slab.get() + i * seg_bytes_);
     slabs_.push_back(std::move(slab));
   }
 
   const size_t seg_bytes_;
   util::SpinLock lock_;
   std::vector<void*> free_;
-  std::vector<std::unique_ptr<char[]>> slabs_;
+  std::vector<util::AlignedBytes> slabs_;
 };
+
+// Checkpoint payload, version 2. Raw host-layout images: the pool
+// remaps at a fixed base, so handles and VarKey pointers in slot words
+// are stable across restarts — the same idiom as the persisted lane
+// chains.
+//   HybridCheckpointHeader, zero-padded to kCheckpointSegmentsOffset
+//   num_segments x segment image, SegmentArena stride apart: the
+//     HybridSegment header with its lock word zeroed, the bucket array,
+//     the stash array, zero padding to the stride
+// in directory-coverage order (position + local depth reconstruct the
+// directory exactly). The file layer reads the payload into one 64-byte-
+// aligned buffer, so each image is already a live segment and the arena
+// adopts the buffer as a slab.
+struct HybridCheckpointHeader {
+  uint64_t checkpoint_seq;         // next_seq at watermark snapshot
+  uint64_t watermarks[kMaxLanes];  // per-lane committed-seq frontier
+  uint64_t global_depth;
+  uint64_t num_segments;
+};
+inline constexpr size_t kCheckpointSegmentsOffset =
+    (sizeof(HybridCheckpointHeader) + 63) & ~size_t{63};
 
 // Persistent root: everything recovery needs — the log geometry and the
 // lane chain heads. The DRAM structure is deliberately absent.
@@ -324,6 +361,8 @@ struct HybridStats {
   // Committed seqs past the checkpoint frontier at open (0 when the
   // checkpoint was written at a quiesced close).
   uint64_t recovery_staleness = 0;
+  // Checkpoint file layer (read plus checksum) within this open.
+  double recovery_file_ms = 0.0;
 };
 
 template <typename KP = IntKeyPolicy>
@@ -380,19 +419,23 @@ class HybridTable {
   // checkpoint file, if any, stays intact).
   bool WriteCheckpoint() {
     if (opts_.checkpoint_path.empty()) return false;
-    std::string payload;
+    util::AlignedBytes payload;
+    size_t bytes = 0;
     for (int attempt = 0; attempt < 3; ++attempt) {
-      if (!SerializeIndex(&payload)) continue;  // split raced the copy
+      if (!SerializeIndex(&payload, &bytes)) continue;  // split raced
       pmem::CheckpointMeta meta;
       meta.kind_tag = CheckpointTag();
       meta.generation = root_->open_gen;
       return pmem::WriteCheckpointFile(opts_.checkpoint_path, meta,
-                                       payload.data(), payload.size());
+                                       payload.get(), bytes);
     }
     return false;
   }
 
   RecoverySource recovery_source() const { return recovery_source_; }
+
+  // Lane `li`'s dead-slot estimate, unclamped (see HybridLog::SeedDead).
+  uint64_t LaneDeadSlots(uint32_t li) const { return log_->DeadSlots(li); }
 
   // One bounded online compaction pass (safe to call concurrently with
   // all operations; concurrent passes skip each other's lanes). For every
@@ -586,6 +629,7 @@ class HybridTable {
     stats.recovery_source = recovery_source_;
     stats.recovery_replayed = replayed_records_;
     stats.recovery_staleness = recovery_staleness_;
+    stats.recovery_file_ms = recovery_file_ms_;
     return stats;
   }
 
@@ -699,11 +743,9 @@ class HybridTable {
   // is rare enough that the stale copies are noise.
   HybridDirectory* NewDirectory(uint64_t depth) {
     const size_t bytes = HybridDirectory::AllocSize(depth);
-    auto buf = std::make_unique<char[]>(bytes + 63);
-    char* base = reinterpret_cast<char*>(
-        (reinterpret_cast<uintptr_t>(buf.get()) + 63) & ~uintptr_t{63});
-    std::memset(base, 0, bytes);
-    auto* dir = reinterpret_cast<HybridDirectory*>(base);
+    util::AlignedBytes buf = util::AllocAligned(bytes);
+    std::memset(buf.get(), 0, bytes);
+    auto* dir = reinterpret_cast<HybridDirectory*>(buf.get());
     dir->global_depth = depth;
     retained_dirs_.push_back(std::move(buf));
     return dir;
@@ -711,31 +753,9 @@ class HybridTable {
 
   // ---- checkpointing ----
 
-  // Checkpoint payload layout (raw host-layout images; the pool remaps
-  // at a fixed base, so handles and VarKey pointers in slot words are
-  // stable across restarts — the same idiom as the persisted lane
-  // chains):
-  //   PayloadHeader
-  //   num_segments x { SegmentPrefix, bucket array, stash array }
-  // in directory-coverage order (position + local depth reconstruct the
-  // directory exactly).
-  struct PayloadHeader {
-    uint64_t checkpoint_seq;            // next_seq at watermark snapshot
-    uint64_t watermarks[kMaxLanes];     // per-lane committed-seq frontier
-    uint64_t global_depth;
-    uint64_t num_segments;
-  };
-  struct SegmentPrefix {
-    uint32_t local_depth;
-    uint32_t num_buckets;
-    uint32_t stash_slots;
-    uint32_t pad;
-    uint64_t pattern;
-  };
-
-  size_t SegmentImageBytes() const {
-    return opts_.buckets_per_segment * sizeof(HybridBucket) +
-           opts_.stash_slots * sizeof(HybridSlot);
+  size_t SegmentBytes() const {
+    return HybridSegment::AllocSize(opts_.buckets_per_segment,
+                                    opts_.stash_slots);
   }
 
   // Identifies this table flavour (key mode + geometry): a checkpoint
@@ -749,48 +769,68 @@ class HybridTable {
     return t;
   }
 
-  // Copies the index into `payload`. Correctness of the bounded-
-  // staleness contract: the watermarks are snapshotted BEFORE any
-  // segment copy, seqs are allocated by a global monotone counter while
-  // the segment lock is held, and each segment is copied under that
-  // lock. So for every committed record: either its publishing op ran
-  // before its segment's copy (the slot is in the image), or its seq was
-  // allocated after the snapshot and exceeds every watermark (replay
-  // picks it up). Records in both sets replay idempotently. Returns
-  // false if a split or directory doubling raced the pass (split_epoch_
-  // changed) or a stale directory view turned inconsistent mid-walk.
-  bool SerializeIndex(std::string* payload) {
-    payload->clear();
+  // Copies the index into `*payload` (`*bytes` long, layout at
+  // HybridCheckpointHeader). Correctness of the bounded-staleness
+  // contract: the watermarks are snapshotted BEFORE any segment copy,
+  // seqs are allocated by a global monotone counter while the segment
+  // lock is held, and each segment is copied under that lock. So for
+  // every committed record: either its publishing op ran before its
+  // segment's copy (the slot is in the image), or its seq was allocated
+  // after the snapshot and exceeds every watermark (replay picks it up).
+  // Records in both sets replay idempotently. Returns false if a split or
+  // directory doubling raced the pass (split_epoch_ changed) or a stale
+  // directory view turned inconsistent mid-walk.
+  bool SerializeIndex(util::AlignedBytes* payload, size_t* bytes) {
     const uint64_t e1 = split_epoch_.load(std::memory_order_acquire);
-    PayloadHeader ph{};
+    HybridCheckpointHeader ph{};
     log_->SnapshotWatermarks(ph.watermarks);
     ph.checkpoint_seq = log_->NextSeqRelaxed();
     HybridDirectory* dir = Dir();
     const uint64_t gd = dir->global_depth;
     if (gd > 48) return false;
     ph.global_depth = gd;
-    const size_t seg_bytes = SegmentImageBytes();
-    payload->resize(sizeof(PayloadHeader));
     const uint64_t n = 1ull << gd;
-    uint64_t i = 0;
-    while (i < n) {
+    // Count first, so the payload is allocated once at its exact size. A
+    // split after the count bumps split_epoch_ and fails the pass anyway.
+    uint64_t segments = 0;
+    for (uint64_t i = 0; i < n; ++segments) {
+      const uint32_t ld = dir->entry(i)->local_depth();
+      if (ld > gd) return false;
+      i += 1ull << (gd - ld);
+    }
+    const size_t seg_bytes = SegmentBytes();
+    const size_t stride = SegmentArena::Stride(seg_bytes);
+    *bytes = kCheckpointSegmentsOffset + segments * stride;
+    *payload = util::AllocAligned(*bytes);
+    char* out = payload->get();
+    std::memset(out, 0, kCheckpointSegmentsOffset);
+    out += kCheckpointSegmentsOffset;
+    for (uint64_t i = 0; i < n; out += stride) {
       HybridSegment* seg = dir->entry(i);
       seg->lock.Lock();
       const uint32_t ld = seg->local_depth();
-      if (ld > gd || seg->num_buckets != opts_.buckets_per_segment ||
+      if (ld > gd || ph.num_segments == segments ||
+          seg->num_buckets != opts_.buckets_per_segment ||
           seg->stash_slots != opts_.stash_slots) {
         seg->lock.Unlock();
         return false;  // concurrent split outran this directory view
       }
-      SegmentPrefix sp{ld, seg->num_buckets, seg->stash_slots, 0,
-                       seg->PatternAcquire()};
-      payload->append(reinterpret_cast<const char*>(&sp), sizeof(sp));
-      payload->append(reinterpret_cast<const char*>(seg + 1), seg_bytes);
+      auto* image = reinterpret_cast<HybridSegment*>(out);
+      image->lock.Reset();
+      image->num_buckets = seg->num_buckets;
+      image->stash_slots = seg->stash_slots;
+      image->local_depth_ = ld;
+      image->pattern_ = seg->PatternAcquire();
+      image->pad = 0;
+      std::memcpy(image->bucket(0), seg->bucket(0),
+                  seg_bytes - sizeof(HybridSegment));
       seg->lock.Unlock();
+      std::memset(out + seg_bytes, 0, stride - seg_bytes);
       ++ph.num_segments;
       i += 1ull << (gd - ld);
     }
-    std::memcpy(payload->data(), &ph, sizeof(ph));
+    if (ph.num_segments != segments) return false;
+    std::memcpy(payload->get(), &ph, sizeof(ph));
     return split_epoch_.load(std::memory_order_acquire) == e1;
   }
 
@@ -804,16 +844,21 @@ class HybridTable {
     pmem::CheckpointMeta expect;
     expect.kind_tag = CheckpointTag();
     expect.generation = ckpt_gen;
-    std::string payload;
+    pmem::CheckpointPayload payload;
+    const auto start = std::chrono::steady_clock::now();
     if (pmem::ReadCheckpointFile(opts_.checkpoint_path, expect, &payload) !=
         pmem::CheckpointLoad::kOk) {
       return false;
     }
-    if (!InstallCheckpoint(payload)) {
+    recovery_file_ms_ = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    if (!InstallCheckpoint(std::move(payload))) {
       std::fprintf(stderr,
                    "dash: checkpoint %s structurally invalid; falling back "
                    "to full recovery scan\n",
                    opts_.checkpoint_path.c_str());
+      recovery_file_ms_ = 0.0;
       InitVolatile();  // wipe the half-installed structure
       return false;
     }
@@ -821,82 +866,80 @@ class HybridTable {
     return true;
   }
 
-  bool InstallCheckpoint(const std::string& payload) {
-    PayloadHeader ph;
-    if (payload.size() < sizeof(ph)) return false;
-    std::memcpy(&ph, payload.data(), sizeof(ph));
+  // Installs a loaded payload in place: every segment image already sits
+  // at the arena stride in a 64-byte-aligned buffer, so install checks
+  // each header, resets its lock word, points the directory at it, and
+  // hands the buffer to the arena — no copy, no zero-fill. Then scans the
+  // log and replays the tail.
+  bool InstallCheckpoint(pmem::CheckpointPayload payload) {
+    HybridCheckpointHeader ph;
+    if (payload.size < kCheckpointSegmentsOffset) return false;
+    std::memcpy(&ph, payload.data.get(), sizeof(ph));
     if (ph.global_depth > 48) return false;
-    const uint64_t n = 1ull << ph.global_depth;
+    const uint64_t gd = ph.global_depth;
+    const uint64_t n = 1ull << gd;
     if (ph.num_segments == 0 || ph.num_segments > n) return false;
-    const size_t seg_bytes = SegmentImageBytes();
-    const size_t entry_bytes = sizeof(SegmentPrefix) + seg_bytes;
-    if (payload.size() !=
-        sizeof(ph) + ph.num_segments * entry_bytes) {
+    const size_t stride = SegmentArena::Stride(SegmentBytes());
+    if (payload.size != kCheckpointSegmentsOffset + ph.num_segments * stride) {
       return false;
     }
-    HybridDirectory* dir = NewDirectory(ph.global_depth);
-    size_t off = sizeof(ph);
+    HybridDirectory* dir = NewDirectory(gd);
+    char* image = payload.data.get() + kCheckpointSegmentsOffset;
     uint64_t pos = 0;
-    for (uint64_t s = 0; s < ph.num_segments; ++s) {
-      SegmentPrefix sp;
-      std::memcpy(&sp, payload.data() + off, sizeof(sp));
-      if (sp.local_depth > ph.global_depth ||
-          sp.num_buckets != opts_.buckets_per_segment ||
-          sp.stash_slots != opts_.stash_slots) {
+    for (uint64_t s = 0; s < ph.num_segments; ++s, image += stride) {
+      auto* seg = reinterpret_cast<HybridSegment*>(image);
+      const uint32_t ld = seg->local_depth_;
+      if (ld > gd || seg->num_buckets != opts_.buckets_per_segment ||
+          seg->stash_slots != opts_.stash_slots) {
         return false;
       }
-      const uint64_t run = 1ull << (ph.global_depth - sp.local_depth);
+      const uint64_t run = 1ull << (gd - ld);
       if (pos >= n || (pos & (run - 1)) != 0) return false;
-      if (sp.local_depth > 0 &&
-          sp.pattern != (pos >> (ph.global_depth - sp.local_depth))) {
-        return false;
-      }
-      HybridSegment* seg = NewSegment(sp.local_depth, sp.pattern);
-      std::memcpy(seg + 1, payload.data() + off + sizeof(sp), seg_bytes);
+      if (ld > 0 && seg->pattern_ != (pos >> (gd - ld))) return false;
+      seg->lock.Reset();
       for (uint64_t j = pos; j < pos + run; ++j) dir->SetEntry(j, seg);
       pos += run;
-      off += entry_bytes;
     }
     if (pos != n) return false;
+    arena_->Adopt(std::move(payload.data));
     dir_.store(dir, std::memory_order_release);
 
     // Scan the chains once (free lists + sequence counter — the scan is
     // unavoidable; what the checkpoint saves is the per-record dedup and
-    // re-insert work), collecting the tail: committed records past the
-    // recorded watermark of their lane.
+    // re-insert work), collecting the tail (committed records past the
+    // recorded watermark of their lane) and every tombstone.
     struct Tail {
       uint64_t stored;
       uint64_t handle;
       uint64_t meta;
     };
     std::vector<Tail> tail;
-    // Every committed record, for the post-replay garbage sweep below.
-    struct Committed {
-      uint64_t handle;
-      uint64_t meta;
-    };
-    std::vector<Committed> committed;
-    // Trusted-handle bitmap, one bit per pool record slot (byte offset /
-    // sizeof(LogRecord)). A record that is committed, non-tombstone, and
-    // at or below its lane's watermark cannot have changed since before
-    // the segment copies: seqs are globally monotone, so recycling or
-    // tombstoning it would have stamped a seq above the watermark. A
-    // checkpointed slot referencing a trusted record is therefore still
-    // exactly what the copy saw — key match and placement included —
-    // and can be kept without touching the record again.
-    std::vector<uint64_t> trusted(
+    std::vector<uint64_t> tombstones;
+    // Record bitmap, one bit per pool record slot (byte offset /
+    // sizeof(LogRecord)), set for every trusted record: committed,
+    // non-tombstone, and at or below its lane's watermark. Such a record
+    // cannot have changed since before the segment copies: seqs are
+    // globally monotone, so recycling or tombstoning it would have
+    // stamped a seq above the watermark. A checkpointed slot referencing
+    // a trusted record is therefore still exactly what the copy saw —
+    // key match and placement included — and can be kept without
+    // touching the record again. The drop pass clears the bit of every
+    // record a kept slot references, and replay sets the bit of every
+    // record it unlinks, so from then on a set bit means "committed
+    // regular record that no slot references" — the sweep's orphans.
+    std::vector<uint64_t> unreferenced(
         (pool_->size() / sizeof(LogRecord) + 63) / 64);
     uint64_t max_seq = 0;
     for (uint32_t li = 0; li < opts_.log_lanes; ++li) {
       const uint64_t wm = ph.watermarks[li];
       const uint64_t lane_max = log_->ScanLane(
           li, [&](LogRecord* rec, uint64_t handle, uint64_t meta) {
-            committed.push_back(Committed{handle, meta});
-            if (LogRecord::Seq(meta) > wm) {
-              tail.push_back(Tail{rec->key, handle, meta});
-            } else if (!LogRecord::IsTombstone(meta)) {
-              const uint64_t slot = HandleOffset(handle) / sizeof(LogRecord);
-              trusted[slot >> 6] |= 1ull << (slot & 63);
+            const bool past = LogRecord::Seq(meta) > wm;
+            if (past) tail.push_back(Tail{rec->key, handle, meta});
+            if (LogRecord::IsTombstone(meta)) {
+              tombstones.push_back(handle);
+            } else if (!past) {
+              SetRecordBit(&unreferenced, handle);
             }
           });
       if (lane_max > max_seq) max_seq = lane_max;
@@ -911,7 +954,7 @@ class HybridTable {
     // whose reclamation already ran, i.e. dead capacity the compaction
     // trigger should see from the first tick of this run.
     uint64_t dropped[kMaxLanes] = {};
-    DropDeadSlots(trusted, dropped);
+    DropDeadSlots(&unreferenced, dropped);
     for (uint32_t li = 0; li < opts_.log_lanes; ++li) {
       if (dropped[li] != 0) log_->SeedDead(li, dropped[li]);
     }
@@ -922,12 +965,22 @@ class HybridTable {
     std::sort(tail.begin(), tail.end(), [](const Tail& a, const Tail& b) {
       return LogRecord::Seq(a.meta) < LogRecord::Seq(b.meta);
     });
-    for (const Tail& t : tail) ApplyReplay(t.stored, t.handle, t.meta);
+    for (const Tail& t : tail) {
+      ApplyReplay(t.stored, t.handle, t.meta, &unreferenced);
+    }
     replayed_records_ = tail.size();
     recovery_staleness_ =
         max_seq + 1 > ph.checkpoint_seq ? max_seq + 1 - ph.checkpoint_seq : 0;
-    SweepUnreferenced(committed);
+    SweepUnreferenced(unreferenced, tombstones);
     return true;
+  }
+
+  static uint64_t RecordIndex(uint64_t handle) {
+    return HandleOffset(handle) / sizeof(LogRecord);
+  }
+  static void SetRecordBit(std::vector<uint64_t>* bits, uint64_t handle) {
+    const uint64_t idx = RecordIndex(handle);
+    (*bits)[idx >> 6] |= 1ull << (idx & 63);
   }
 
   // Collects the committed garbage a checkpoint open would otherwise
@@ -938,61 +991,60 @@ class HybridTable {
   // ops at open, that judgement is exact, where the online path must
   // leave non-current records to their pending retirements. Without this
   // sweep such orphans would also pin their chunks against compaction
-  // forever. Zeroing order is the delete-pair rule writ large: ALL
-  // unreferenced regular records strictly before ANY tombstone. Any
-  // record a tombstone supersedes is itself unreferenced (a checkpointed
-  // slot for the key would imply the tombstone outran the watermark and
-  // replay cleared it), so a crash between the phases can only lose
-  // tombstones whose victims are already gone — never resurrect a key.
-  template <typename CommittedVec>
-  void SweepUnreferenced(const CommittedVec& committed) {
-    std::vector<uint64_t> referenced(
-        (pool_->size() / sizeof(LogRecord) + 63) / 64);
-    ForEachSegment([&](HybridSegment* seg) {
-      auto mark = [&](const HybridSlot* slot) {
-        if (slot->key == kEmptyKey) return;
-        const uint64_t idx = HandleOffset(slot->off) / sizeof(LogRecord);
-        referenced[idx >> 6] |= 1ull << (idx & 63);
-      };
-      for (uint32_t b = 0; b < seg->num_buckets; ++b) {
-        for (uint64_t s = 0; s < kSlotsPerBucket; ++s) {
-          mark(&seg->bucket(b)->slots[s]);
+  // forever. `unreferenced` holds exactly the unreferenced regular
+  // records; one walk over the chunk headers maps its bits back to
+  // handles (the lane is what ReleaseSlot needs). Zeroing order is the
+  // delete-pair rule writ large: ALL unreferenced regular records
+  // strictly before ANY tombstone. Any record a tombstone supersedes is
+  // itself unreferenced (a checkpointed slot for the key would imply the
+  // tombstone outran the watermark and replay cleared it), so a crash
+  // between the phases can only lose tombstones whose victims are
+  // already gone — never resurrect a key.
+  void SweepUnreferenced(const std::vector<uint64_t>& unreferenced,
+                         const std::vector<uint64_t>& tombstones) {
+    log_->ForEachChunk([&](uint32_t li, uint64_t first, uint32_t count) {
+      if (count == 0) return;
+      const uint64_t begin = first / sizeof(LogRecord);
+      const uint64_t last = begin + count - 1;
+      for (uint64_t w = begin >> 6; w <= last >> 6; ++w) {
+        uint64_t bits = unreferenced[w];
+        if (w == begin >> 6) bits &= ~0ull << (begin & 63);
+        if (w == last >> 6) bits &= ~0ull >> (63 - (last & 63));
+        for (; bits != 0; bits &= bits - 1) {
+          const uint64_t idx = w * 64 + std::countr_zero(bits);
+          const uint64_t handle =
+              EncodeHandle(li, first + (idx - begin) * sizeof(LogRecord));
+          ReclaimOne(handle);
+          log_->ReleaseSlot(handle);
         }
       }
-      for (uint32_t s = 0; s < seg->stash_slots; ++s) mark(seg->stash(s));
     });
-    auto orphaned = [&](uint64_t handle) {
-      const uint64_t idx = HandleOffset(handle) / sizeof(LogRecord);
-      return ((referenced[idx >> 6] >> (idx & 63)) & 1) == 0;
-    };
-    for (const auto& c : committed) {
-      if (LogRecord::IsTombstone(c.meta) || !orphaned(c.handle)) continue;
-      ReclaimOne(c.handle);
-      log_->ReleaseSlot(c.handle);
-    }
-    for (const auto& c : committed) {
-      if (!LogRecord::IsTombstone(c.meta)) continue;
-      ReclaimOne(c.handle);
-      log_->ReleaseSlot(c.handle);
+    for (uint64_t handle : tombstones) {
+      ReclaimOne(handle);
+      log_->ReleaseSlot(handle);
     }
   }
 
   // Clears checkpointed slots that reference anything but a trusted
-  // record. Key-word equality against the record would not be a valid
-  // substitute: with var keys both the record slot and the key blob can
-  // be recycled for a *different* key, making the pointers match again
-  // while the new content hashes elsewhere. The trusted bitmap closes
-  // that hole structurally — a recycled record carries a post-watermark
-  // seq and is never trusted — and replaces a random PM probe per slot
-  // with an L2-resident bit test.
-  void DropDeadSlots(const std::vector<uint64_t>& trusted,
+  // record, and clears the `unreferenced` bit of every record a kept
+  // slot references. Key-word equality against the record would not be
+  // a valid substitute for the bitmap: with var keys both the record
+  // slot and the key blob can be recycled for a *different* key, making
+  // the pointers match again while the new content hashes elsewhere.
+  // The trusted bitmap closes that hole structurally — a recycled record
+  // carries a post-watermark seq and is never trusted — and replaces a
+  // random PM probe per slot with an L2-resident bit test.
+  void DropDeadSlots(std::vector<uint64_t>* unreferenced,
                      uint64_t dropped[kMaxLanes]) {
-    auto dead = [&](const HybridSlot* slot) {
-      const uint64_t idx = HandleOffset(slot->off) / sizeof(LogRecord);
-      return (idx >> 6) >= trusted.size() ||
-             ((trusted[idx >> 6] >> (idx & 63)) & 1) == 0;
-    };
-    auto clear = [&](HybridSlot* slot) {
+    std::vector<uint64_t>& bits = *unreferenced;
+    auto visit = [&](HybridSlot* slot) {
+      if (slot->key == kEmptyKey) return;
+      const uint64_t idx = RecordIndex(slot->off);
+      const uint64_t bit = 1ull << (idx & 63);
+      if ((idx >> 6) < bits.size() && (bits[idx >> 6] & bit) != 0) {
+        bits[idx >> 6] &= ~bit;  // trusted, and now referenced
+        return;
+      }
       ++dropped[HandleLane(slot->off)];
       slot->StoreKeyRelease(kEmptyKey);
       slot->StoreOffRelease(0);
@@ -1000,15 +1052,9 @@ class HybridTable {
     ForEachSegment([&](HybridSegment* seg) {
       for (uint32_t b = 0; b < seg->num_buckets; ++b) {
         HybridBucket* bucket = seg->bucket(b);
-        for (uint64_t s = 0; s < kSlotsPerBucket; ++s) {
-          HybridSlot* slot = &bucket->slots[s];
-          if (slot->key != kEmptyKey && dead(slot)) clear(slot);
-        }
+        for (uint64_t s = 0; s < kSlotsPerBucket; ++s) visit(&bucket->slots[s]);
       }
-      for (uint32_t s = 0; s < seg->stash_slots; ++s) {
-        HybridSlot* slot = seg->stash(s);
-        if (slot->key != kEmptyKey && dead(slot)) clear(slot);
-      }
+      for (uint32_t s = 0; s < seg->stash_slots; ++s) visit(seg->stash(s));
     });
   }
 
@@ -1022,8 +1068,10 @@ class HybridTable {
 
   // Applies one tail record against the loaded index (single-threaded,
   // at open). Idempotent: re-applying a record the checkpoint already
-  // reflects swings the slot to the handle it already holds.
-  void ApplyReplay(uint64_t stored, uint64_t handle, uint64_t meta) {
+  // reflects swings the slot to the handle it already holds. Every record
+  // a slot stops referencing gets its `unreferenced` bit set.
+  void ApplyReplay(uint64_t stored, uint64_t handle, uint64_t meta,
+                   std::vector<uint64_t>* unreferenced) {
     const uint64_t h = KP::HashStored(stored);
     const KeyArg key = KeyFromStored(stored);
     for (;;) {
@@ -1039,6 +1087,7 @@ class HybridTable {
       HybridSlot* slot = ProbeSegment(seg, bucket, h, key, &in_stash);
       if (LogRecord::IsTombstone(meta)) {
         if (slot != nullptr) {
+          SetRecordBit(unreferenced, slot->off);
           slot->StoreKeyRelease(kEmptyKey);
           slot->StoreOffRelease(0);
         }
@@ -1046,6 +1095,7 @@ class HybridTable {
         return;
       }
       if (slot != nullptr) {
+        if (slot->off != handle) SetRecordBit(unreferenced, slot->off);
         slot->StoreOffRelease(handle);
         slot->StoreKeyRelease(stored);
         seg->lock.Unlock();
@@ -1950,7 +2000,7 @@ class HybridTable {
   std::unique_ptr<SegmentArena> arena_;
   std::unique_ptr<HybridLog> log_;
   std::atomic<HybridDirectory*> dir_{nullptr};
-  std::vector<std::unique_ptr<char[]>> retained_dirs_;
+  std::vector<util::AlignedBytes> retained_dirs_;
   util::RwSpinLock dir_lock_;
   // Bumped by every split; the checkpoint copy pass validates against it.
   std::atomic<uint64_t> split_epoch_{0};
@@ -1958,6 +2008,7 @@ class HybridTable {
   RecoverySource recovery_source_ = RecoverySource::kFresh;
   uint64_t replayed_records_ = 0;
   uint64_t recovery_staleness_ = 0;
+  double recovery_file_ms_ = 0.0;
   // Per-thread sharded telemetry: no shared cacheline on the hot paths.
   mutable util::ShardedOptimisticLockStats lock_stats_;
 };

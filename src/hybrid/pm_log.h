@@ -466,6 +466,26 @@ class HybridLog {
     return max_seq;
   }
 
+  // Calls fn(lane, first_record_offset, num_records) for every chunk, in
+  // scan order (lane by lane, along each chain). Quiescent use only
+  // (open-time sweeps): it takes no lane lock, so fn may ReleaseSlot.
+  template <typename Fn>
+  void ForEachChunk(Fn fn) const {
+    for (uint32_t li = 0; li <= lane_mask_; ++li) {
+      for (auto* chunk = reinterpret_cast<const LogChunk*>(LaneHead(li));
+           chunk != nullptr;
+           chunk = reinterpret_cast<const LogChunk*>(chunk->next)) {
+        fn(li, pool_->ToOffset(chunk) + sizeof(LogChunk), chunk->num_records);
+      }
+    }
+  }
+
+  // A lane's dead-slot estimate before the free-list clamp.
+  uint64_t DeadSlots(uint32_t li) const {
+    util::SpinLockGuard g(lanes_state_[li].lock);
+    return lanes_state_[li].dead;
+  }
+
   // Single-threaded whole-log scan (the serial recovery path).
   template <typename Fn>
   void Scan(Fn fn) {

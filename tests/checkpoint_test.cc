@@ -13,16 +13,23 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <cstddef>
+#include <cstring>
 #include <functional>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/kv_index.h"
 #include "api/sharded_store.h"
 #include "epoch/epoch_manager.h"
+#include "hybrid/hybrid_table.h"
 #include "pmem/crash_point.h"
 #include "pmem/flush_tracker.h"
 #include "pmem/index_persist.h"
@@ -502,6 +509,269 @@ TEST(CheckpointTest, ParallelRebuildEqualsModel) {
   ExpectEqualsModel(index.get(), model);
   index->CloseClean();
   pool->CloseClean();
+}
+
+// Overwrites `bytes` bytes at `offset` of the file at `path`.
+void PatchFile(const std::string& path, long offset, const void* data,
+               size_t bytes) {
+  std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(io.good());
+  io.seekp(offset);
+  io.write(static_cast<const char*>(data), static_cast<std::streamsize>(bytes));
+  ASSERT_TRUE(io.good());
+}
+
+// Header field offsets: magic(8) version(4) pad(4) kind_tag(8)
+// generation(8) payload_bytes(8) checksum(8).
+constexpr long kVersionOffset = 8;
+constexpr long kPayloadBytesOffset = 32;
+
+// A version-1 file (the single-chain checksum, copy-on-load layout) is
+// refused by its version field and the open falls back to the scan.
+TEST(CheckpointRejectionTest, VersionOneFileFallsBackToScan) {
+  RunRejection("v1", [](const std::string& path) {
+    const uint32_t v1 = 1;
+    PatchFile(path, kVersionOffset, &v1, sizeof(v1));
+    pmem::CheckpointPayload payload;
+    EXPECT_EQ(pmem::ReadCheckpointFile(path, pmem::CheckpointMeta{}, &payload),
+              pmem::CheckpointLoad::kBadVersion);
+    EXPECT_EQ(payload.data, nullptr);
+  });
+}
+
+// A length field claiming more payload than the file holds is rejected
+// as truncated before any payload buffer is allocated.
+TEST(CheckpointRejectionTest, OverlongPayloadLengthIsRejected) {
+  RunRejection("overlong", [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    ASSERT_TRUE(in.good());
+    const auto size = static_cast<uint64_t>(in.tellg());
+    in.close();
+    for (const uint64_t claimed :
+         {size - pmem::kCheckpointHeaderBytes + 1, uint64_t{1} << 29,
+          ~uint64_t{0}}) {
+      PatchFile(path, kPayloadBytesOffset, &claimed, sizeof(claimed));
+      uint64_t kind_and_gen[2];
+      std::ifstream hdr(path, std::ios::binary);
+      hdr.seekg(16);
+      hdr.read(reinterpret_cast<char*>(kind_and_gen), sizeof(kind_and_gen));
+      pmem::CheckpointMeta expect;
+      expect.kind_tag = kind_and_gen[0];
+      expect.generation = kind_and_gen[1];
+      pmem::CheckpointPayload payload;
+      EXPECT_EQ(pmem::ReadCheckpointFile(path, expect, &payload),
+                pmem::CheckpointLoad::kBadChecksum)
+          << "claimed " << claimed;
+      EXPECT_EQ(payload.data, nullptr) << "allocated before the size check";
+    }
+  });
+}
+
+// ---- orphan sweep equivalence ----
+
+hybrid::HybridOptions SweepOptions(const std::string& ckpt_path) {
+  hybrid::HybridOptions o;
+  o.buckets_per_segment = 16;
+  o.log_lanes = 4;
+  o.records_per_chunk = 256;
+  o.checkpoint_path = ckpt_path;
+  return o;
+}
+
+// Read-only census of the committed log records: per-lane counts and
+// every record's meta word, by handle.
+struct LogCensus {
+  uint64_t committed[hybrid::kMaxLanes] = {};
+  std::unordered_map<uint64_t, uint64_t> meta;
+};
+
+LogCensus TakeCensus(pmem::PmPool* pool) {
+  auto* root = static_cast<hybrid::HybridRoot*>(pool->root());
+  hybrid::HybridLog log(pool, root->lane_heads, root->log_lanes,
+                        root->records_per_chunk);
+  LogCensus census;
+  for (uint32_t li = 0; li < root->log_lanes; ++li) {
+    log.ScanLane(li, [&](hybrid::LogRecord*, uint64_t handle, uint64_t meta) {
+      ++census.committed[li];
+      census.meta[handle] = meta;
+    });
+  }
+  return census;
+}
+
+// Recounts, from the checkpoint file and the pre-open log, how many
+// checkpointed slots per lane the load must drop: those whose record is
+// not committed, a tombstone, or past its lane's watermark.
+std::vector<uint64_t> RecountDrops(const std::string& ckpt_path,
+                                   const hybrid::HybridOptions& opts,
+                                   const LogCensus& census) {
+  std::ifstream in(ckpt_path, std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const char* payload = file.data() + pmem::kCheckpointHeaderBytes;
+  hybrid::HybridCheckpointHeader ph;
+  std::memcpy(&ph, payload, sizeof(ph));
+  const size_t seg_bytes = hybrid::HybridSegment::AllocSize(
+      opts.buckets_per_segment, opts.stash_slots);
+  const size_t stride = hybrid::SegmentArena::Stride(seg_bytes);
+  EXPECT_EQ(file.size(), pmem::kCheckpointHeaderBytes +
+                             hybrid::kCheckpointSegmentsOffset +
+                             ph.num_segments * stride);
+  std::vector<uint64_t> drops(hybrid::kMaxLanes, 0);
+  for (uint64_t s = 0; s < ph.num_segments; ++s) {
+    const char* image =
+        payload + hybrid::kCheckpointSegmentsOffset + s * stride;
+    const size_t slots =
+        opts.buckets_per_segment * hybrid::kSlotsPerBucket + opts.stash_slots;
+    for (size_t i = 0; i < slots; ++i) {
+      const size_t b = i / hybrid::kSlotsPerBucket;
+      const size_t at =
+          b < opts.buckets_per_segment
+              ? sizeof(hybrid::HybridSegment) + b * sizeof(hybrid::HybridBucket) +
+                    offsetof(hybrid::HybridBucket, slots) +
+                    (i % hybrid::kSlotsPerBucket) * sizeof(hybrid::HybridSlot)
+              : sizeof(hybrid::HybridSegment) +
+                    opts.buckets_per_segment * sizeof(hybrid::HybridBucket) +
+                    (i - opts.buckets_per_segment * hybrid::kSlotsPerBucket) *
+                        sizeof(hybrid::HybridSlot);
+      hybrid::HybridSlot slot;
+      std::memcpy(&slot, image + at, sizeof(slot));
+      if (slot.key == hybrid::kEmptyKey) continue;
+      const uint32_t lane = hybrid::HandleLane(slot.off);
+      const auto it = census.meta.find(slot.off);
+      const bool trusted =
+          it != census.meta.end() &&
+          !hybrid::LogRecord::IsTombstone(it->second) &&
+          hybrid::LogRecord::Seq(it->second) <= ph.watermarks[lane];
+      if (!trusted) ++drops[lane];
+    }
+  }
+  return drops;
+}
+
+// The checkpoint open's garbage collection, checked against a recount.
+// Before the checkpoint: updates and deletes whose epoch retirements are
+// still pending at the crash (lost: superseded records and tombstones at
+// or below the watermarks). In the tail: the same key updated twice
+// (superseded within the tail), deletes (tombstones past the
+// watermarks), and re-inserts of keys deleted before the checkpoint.
+// With `reclaim_in_tail`, the first tail writes are reclaimed before the
+// rest of the tail, so some checkpointed slots name zeroed or recycled
+// records and the load drops them. After the open: the committed log
+// records are exactly the records the index references, and each lane's
+// dead-slot count is its recounted drops plus the records the open
+// reclaimed.
+template <typename KP, typename KeyOf>
+void RunOrphanSweep(const std::string& tag, bool reclaim_in_tail,
+                    KeyOf key_of) {
+  SCOPED_TRACE(tag);
+  test::TempPoolFile file(tag);
+  TempCheckpoint ckpt(file.path() + ".ckpt");
+  auto pool = test::CreatePool(file);
+  ASSERT_NE(pool, nullptr);
+  const hybrid::HybridOptions opts = SweepOptions(ckpt.path);
+  constexpr uint64_t kKeys = 3000;
+  std::map<uint64_t, uint64_t> model;
+  {
+    epoch::EpochManager epochs;
+    hybrid::HybridTable<KP> table(pool.get(), &epochs, opts);
+    // Each phase runs on its own thread, so appends spread over lanes.
+    auto phase = [&](uint64_t step, uint64_t rem, int op, uint64_t tagv) {
+      std::thread([&] {
+        for (uint64_t i = rem == 0 ? step : rem; i <= kKeys; i += step) {
+          const uint64_t value = tagv * 100000 + i;
+          if (op == 0 && table.Insert(key_of(i), value) == OpStatus::kOk) {
+            model[i] = value;
+          } else if (op == 1 &&
+                     table.Update(key_of(i), value) == OpStatus::kOk) {
+            model[i] = value;
+          } else if (op == 2 && table.Delete(key_of(i)) == OpStatus::kOk) {
+            model.erase(i);
+          }
+        }
+      }).join();
+    };
+    phase(1, 0, 0, 1);   // insert every key
+    phase(3, 0, 1, 2);   // update, reclaimed below
+    phase(10, 0, 2, 3);  // delete, reclaimed below
+    epochs.DrainAll();
+    std::optional<epoch::EpochManager::Guard> pin;
+    pin.emplace(epochs);  // retirements from here on are lost at the crash
+    phase(7, 1, 1, 4);    // superseded records at or below the watermarks
+    phase(11, 2, 2, 5);   // tombstones at or below the watermarks
+    ASSERT_TRUE(table.WriteCheckpoint());
+    if (reclaim_in_tail) {
+      pin.reset();
+      phase(6, 4, 1, 6);  // superseded checkpointed records, then...
+      epochs.DrainAll();  // ...zeroed: their checkpointed slots drop
+      phase(9, 5, 0, 7);  // and some zeroed slots recycled by inserts
+      phase(4, 3, 1, 7);
+      pin.emplace(epochs);
+    }
+    phase(5, 0, 1, 8);    // updated twice in the tail
+    phase(5, 0, 1, 9);
+    phase(13, 3, 2, 10);  // tombstones past the watermarks
+    phase(11, 2, 0, 11);  // re-insert keys deleted before the checkpoint
+    pin.reset();
+    // Destroyed without CloseClean: pending retirements are discarded.
+  }
+  pool->CloseDirty();
+  pool.reset();
+
+  pool = pmem::PmPool::Open(file.path());
+  ASSERT_NE(pool, nullptr);
+  const LogCensus before = TakeCensus(pool.get());
+  const std::vector<uint64_t> drops = RecountDrops(ckpt.path, opts, before);
+  epoch::EpochManager epochs;
+  hybrid::HybridTable<KP> table(pool.get(), &epochs, opts);
+  const hybrid::HybridStats stats = table.Stats();
+  ASSERT_EQ(stats.recovery_source, RecoverySource::kCheckpoint);
+  EXPECT_GT(stats.recovery_replayed, 0u);
+  EXPECT_TRUE(table.VerifyStructure());
+
+  // Every committed record is referenced: VerifyStructure proved each
+  // occupied slot names a distinct committed regular record, so equal
+  // counts and no committed tombstones make the two sets equal.
+  const LogCensus after = TakeCensus(pool.get());
+  EXPECT_EQ(after.meta.size(), stats.records);
+  for (const auto& [handle, meta] : after.meta) {
+    EXPECT_FALSE(hybrid::LogRecord::IsTombstone(meta)) << handle;
+  }
+  EXPECT_EQ(stats.records, model.size());
+  uint64_t value = 0;
+  for (uint64_t i = 1; i <= kKeys; ++i) {
+    const auto it = model.find(i);
+    if (it == model.end()) {
+      ASSERT_EQ(table.Search(key_of(i), &value), OpStatus::kNotFound) << i;
+    } else {
+      ASSERT_EQ(table.Search(key_of(i), &value), OpStatus::kOk) << i;
+      ASSERT_EQ(value, it->second) << i;
+    }
+  }
+
+  uint64_t swept = 0, dropped = 0;
+  for (uint32_t li = 0; li < opts.log_lanes; ++li) {
+    const uint64_t reclaimed = before.committed[li] - after.committed[li];
+    swept += reclaimed;
+    dropped += drops[li];
+    EXPECT_EQ(table.LaneDeadSlots(li), drops[li] + reclaimed) << "lane " << li;
+  }
+  EXPECT_GT(swept, 0u) << "scenario left no orphans to sweep";
+  if (reclaim_in_tail) EXPECT_GT(dropped, 0u) << "scenario dropped no slot";
+  table.CloseClean();
+  pool->CloseClean();
+}
+
+TEST(CheckpointSweepTest, OrphanSweepMatchesIndexFixedKeys) {
+  auto key_of = [](uint64_t i) { return i; };
+  RunOrphanSweep<IntKeyPolicy>("ckpt_sweep_fixed", false, key_of);
+  RunOrphanSweep<IntKeyPolicy>("ckpt_sweep_fixed_drop", true, key_of);
+}
+
+TEST(CheckpointSweepTest, OrphanSweepMatchesIndexVarKeys) {
+  auto key_of = [](uint64_t i) { return "sweep-key-" + std::to_string(i); };
+  RunOrphanSweep<VarKeyPolicy>("ckpt_sweep_var", false, key_of);
+  RunOrphanSweep<VarKeyPolicy>("ckpt_sweep_var_drop", true, key_of);
 }
 
 // ---- sharded provenance ----
