@@ -59,6 +59,14 @@ BenchConfig ParseArgs(int argc, char** argv) {
   return config;
 }
 
+bool IsCommonArg(const char* arg) {
+  for (const char* flag :
+       {"--scale=", "--threads=", "--pool-gb=", "--pool-dir=", "--shards="}) {
+    if (std::strncmp(arg, flag, std::strlen(flag)) == 0) return true;
+  }
+  return false;
+}
+
 TableHandle::~TableHandle() {
   if (table != nullptr) table->CloseClean();
   table.reset();

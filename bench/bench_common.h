@@ -46,9 +46,13 @@ struct BenchConfig {
   }
 };
 
-// Parses --scale=X, --threads=a,b,c, --pool-gb=N, --shards=N; ignores
-// unknown flags.
+// Parses --scale=X, --threads=a,b,c, --pool-gb=N, --pool-dir=D,
+// --shards=N; ignores unknown flags.
 BenchConfig ParseArgs(int argc, char** argv);
+
+// True when `arg` is one of the flags ParseArgs parses, for benches that
+// reject every flag they do not know.
+bool IsCommonArg(const char* arg);
 
 // Cheap uniform stride walk over the preloaded key space [1, preloaded].
 // Single-op and batched phases must draw from this one definition so their

@@ -21,7 +21,6 @@ cceh::CcehOptions ToCcehOptions(const DashOptions& o) {
   // Match total segment bytes: Dash 64 x 256 B buckets == CCEH 256 x 64 B.
   c.buckets_per_segment = o.buckets_per_segment * 4;
   c.initial_depth = o.initial_depth;
-  c.batch_pipeline = o.batch_pipeline;
   return c;
 }
 
@@ -34,7 +33,6 @@ level::LevelOptions ToLevelOptions(const DashOptions& o) {
   uint64_t buckets = 16;
   while (buckets * level::kSlotsPerBucket * 3 / 2 < slots) buckets *= 2;
   l.initial_top_buckets = buckets;
-  l.batch_pipeline = o.batch_pipeline;
   return l;
 }
 
@@ -46,7 +44,6 @@ hybrid::HybridOptions ToHybridOptions(const DashOptions& o) {
   h.buckets_per_segment = o.buckets_per_segment;
   h.stash_slots = o.stash_buckets * 8;
   h.initial_depth = o.initial_depth;
-  h.batch_pipeline = o.batch_pipeline;
   h.checkpoint_path = o.checkpoint_path;
   h.rebuild_threads = o.rebuild_threads;
   h.compaction_trigger = o.compaction_trigger;
@@ -163,15 +160,7 @@ class IndexAdapter : public Base {
 
   void PrefetchBatch(const Key* keys, size_t count,
                      bool for_write) override {
-    if constexpr (requires(Table& t) {
-                    t.PrefetchBatch(keys, count, for_write);
-                  }) {
-      table_.PrefetchBatch(keys, count, for_write);
-    }
-  }
-
-  void SetBatchPipeline(BatchPipeline pipeline) override {
-    table_.set_batch_pipeline(pipeline);
+    table_.PrefetchBatch(keys, count, for_write);
   }
 
   bool Verify() override {

@@ -204,11 +204,6 @@ class KvIndex {
     (void)for_write;
   }
 
-  // Selects the batch execution engine behind the Multi* entry points
-  // (A/B hook for bench_batch; see dash::BatchPipeline). Default no-op
-  // for implementations without a native pipeline.
-  virtual void SetBatchPipeline(BatchPipeline pipeline) { (void)pipeline; }
-
   // Structural self-check, run after crash recovery: directory pointers
   // inside the pool, depths consistent, bucket metadata sane. Returns
   // false when the recovered image is structurally corrupt — ShardedStore
@@ -312,9 +307,6 @@ class VarKvIndex {
     (void)count;
     (void)for_write;
   }
-
-  // Batch-engine selector; same contract as KvIndex::SetBatchPipeline.
-  virtual void SetBatchPipeline(BatchPipeline pipeline) { (void)pipeline; }
 
   // Structural self-check; same contract as KvIndex::Verify.
   virtual bool Verify() { return true; }

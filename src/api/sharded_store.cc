@@ -167,7 +167,7 @@ std::unique_ptr<ShardedStore> ShardedStore::Open(
   }
   RecoveryReport& report = store->recovery_;
   report.shard_ms.assign(options.shards, 0.0);
-  report.shard_recovered.assign(options.shards, false);
+  report.shard_recovered.assign(options.shards, 0);
   report.shard_source.assign(options.shards, "quarantined");
   report.shard_replayed.assign(options.shards, 0);
   report.shard_staleness.assign(options.shards, 0);

@@ -163,7 +163,10 @@ struct RecoveryReport {
   size_t threads = 0;           // recovery thread count actually used
   double total_ms = 0.0;        // wall time of the parallel open phase
   std::vector<double> shard_ms;        // per-shard open+verify time
-  std::vector<bool> shard_recovered;   // pool was dirty -> recovery ran
+  // Pool was dirty -> recovery ran (1/0). One byte per shard, not a
+  // bit-packed vector<bool>: parallel recovery workers each write their
+  // own shard's entry.
+  std::vector<uint8_t> shard_recovered;
   std::vector<size_t> quarantined;     // shards quarantined at open
   // Recovery provenance per shard: "fresh" / "native" / "scan" /
   // "checkpoint" (RecoverySourceName), "quarantined" when the shard

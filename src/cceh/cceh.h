@@ -175,8 +175,6 @@ struct CcehRoot {
 struct CcehOptions {
   uint32_t buckets_per_segment = 256;  // 256 x 64 B = 16 KB segments
   uint32_t initial_depth = 1;
-  // Batch engine behind Multi* (see dash::BatchPipeline).
-  BatchPipeline batch_pipeline = BatchPipeline::kAmac;
 };
 
 // Aggregate statistics, mirroring DashTableStats.
@@ -252,180 +250,39 @@ class CCEH {
 
   // ---- batched operations ----
   //
-  // Two engines (opts_.batch_pipeline). kGroup is the PR-1 three-stage
-  // pipeline: hash + directory-entry prefetch, segment resolution +
-  // prefetch, then the ordinary per-op logic with one epoch guard per
-  // group. kAmac runs per-op state machines (util/amac.h). Searches are
-  // lock-free (optimistic versioned probes), so their machine suspends at
-  // the execute-stage probe: resolve + prefetch the header for *read*
-  // plus the 4-cacheline probe window, yield, then probe over warm lines
-  // and revalidate; version conflicts re-resolve through the directory in
-  // a dedicated Retry pass over freshly prefetched lines. Write ops keep
-  // the fixed locked schedule (prefetch-for-ownership, then the exclusive
-  // body in one pass visit — see the suspension constraint in
-  // util/amac.h).
+  // Per-op state machines (util/amac.h).
 
-  void MultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
-                   OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacMultiSearch(keys, count, values, statuses);
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/false,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = SearchWithHash(key, h, &values[i]);
-                 });
-  }
-
-  void MultiInsert(const KeyArg* keys, const uint64_t* values, size_t count,
-                   OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-        statuses[i] = InsertWithHash(key, values[i], h);
-      });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = InsertWithHash(key, values[i], h);
-                 });
-  }
-
-  void MultiUpdate(const KeyArg* keys, const uint64_t* values, size_t count,
-                   OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-        statuses[i] = UpdateWithHash(key, values[i], h);
-      });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = UpdateWithHash(key, values[i], h);
-                 });
-  }
-
-  void MultiDelete(const KeyArg* keys, size_t count, OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-        statuses[i] = DeleteWithHash(key, h);
-      });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = DeleteWithHash(key, h);
-                 });
-  }
-
-  // Batch-engine selector (A/B testing hook; volatile).
-  void set_batch_pipeline(BatchPipeline p) { opts_.batch_pipeline = p; }
-
-  // Runs only the prefetch stages of the batch pipeline (pure hint; see
-  // DashEH::PrefetchBatch). Searches are optimistic and fetch the header
-  // for read; write batches fetch it for ownership.
-  void PrefetchBatch(const KeyArg* keys, size_t count, bool for_write) {
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, for_write);
-    }
-  }
-
- private:
-  // Batch scaffold: per group of
-  // kBatchGroupWidth operations run the prefetch stages and invoke
-  // exec(global_index, key, hash) for each. `for_write` selects how the
-  // segment header is prefetched: write ops take the exclusive lock (a PM
-  // lock-word write), searches only read it (version snapshot).
-  template <typename ExecFn>
-  void ForEachGroup(const KeyArg* keys, size_t count, bool for_write,
-                    ExecFn exec) {
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      // One guard per group: amortizes the seq-cst epoch pin over
-      // kBatchGroupWidth ops without stalling reclamation for the whole
-      // (unbounded) batch.
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, for_write);
-      for (size_t i = 0; i < n; ++i) {
-        exec(base + i, keys[base + i], hashes[i]);
-      }
-    }
-  }
-
-  // ---- state-machine (AMAC) engine ----
-
-  struct AmacOp {
-    uint64_t hash;
-    CcehSegment* seg;
-  };
-
-  // Lock-free search machine: Hash pass (hash + directory-entry
+  // Lock-free search machine (optimistic versioned probes, so it may
+  // suspend at the execute-stage probe): Hash pass (hash + directory-entry
   // prefetch) -> DirProbe pass (resolve the segment, prefetch its header
   // for *read* and the bounded 4-cacheline probe window) -> Execute pass
   // (optimistic snapshot/probe/revalidate over warm lines). Ops whose
   // snapshot conflicted with a writer or whose segment went stale under a
   // split re-resolve through the live directory, prefetch the fresh
   // segment, and suspend once more (the Retry pass), finishing with the
-  // single-op retry loop over warm lines. Because the probe takes no
-  // lock, the machine may suspend at the execute stage — the capability
-  // the pessimistic segment lock used to rule out.
-  void AmacMultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
-                       OpStatus* statuses) {
-    util::AmacTelemetry& tele = util::AmacTelemetry::Local();
-    AmacOp ops[util::kBatchGroupWidth];
-    const uint32_t mask = opts_.buckets_per_segment - 1;
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      util::AmacGroupCounters ctr;
-      ++tele.groups;
-      tele.ops += n;
-      // One directory snapshot per group (a stale entry fails the
-      // optimistic coverage check and lands in the Retry pass).
-      CcehDirectory* dir = Dir();
-      const uint64_t gd = dir->global_depth;
-      std::atomic<uint64_t>* entries = dir->entries();
-      for (size_t i = 0; i < n; ++i) {
-        ops[i].hash = KP::Hash(keys[base + i]);
-        const uint64_t idx = gd == 0 ? 0 : (ops[i].hash >> (64 - gd));
-        util::PrefetchRead(&entries[idx]);
-        ctr.Suspend(util::AmacState::kHash);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        const uint64_t idx = gd == 0 ? 0 : (ops[i].hash >> (64 - gd));
-        ops[i].seg = reinterpret_cast<CcehSegment*>(
-            entries[idx].load(std::memory_order_acquire));
-        util::PrefetchRead(ops[i].seg);  // header: version / depth / pattern
-        const uint32_t y =
-            CcehSegment::BucketIndex(ops[i].hash, opts_.buckets_per_segment);
-        for (uint64_t p = 0; p < kProbeBuckets; ++p) {
-          util::PrefetchRead(ops[i].seg->bucket((y + p) & mask));
-        }
-        ctr.Suspend(util::AmacState::kDirProbe);
-      }
+  // single-op retry loop over warm lines.
+  void MultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
+                   OpStatus* statuses) {
+    uint64_t hashes[util::kBatchGroupWidth];
+    CcehSegment* segs[util::kBatchGroupWidth];
+    for (auto& g : util::AmacGroups(*epochs_, count)) {
+      const size_t base = g.base;
+      const size_t n = g.n;
+      util::AmacGroupCounters& ctr = g.ctr;
+      PrefetchGroup(keys + base, n, /*for_write=*/false, hashes, segs, ctr);
       util::AmacReadyList retry_pending;
       for (size_t i = 0; i < n; ++i) {
         ++ctr.steps;
         const OpStatus status = SearchSegmentOptimistic(
-            ops[i].seg, keys[base + i], ops[i].hash, &values[base + i]);
+            segs[i], keys[base + i], hashes[i], &values[base + i]);
         if (status != OpStatus::kRetry) {
           statuses[base + i] = status;
           continue;
         }
         // Conflict or stale segment: re-resolve through the live
         // directory, put the fresh lines in flight, resume next pass.
-        ops[i].seg = Lookup(ops[i].hash);
-        util::PrefetchRead(ops[i].seg);
-        const uint32_t y =
-            CcehSegment::BucketIndex(ops[i].hash, opts_.buckets_per_segment);
-        for (uint64_t p = 0; p < kProbeBuckets; ++p) {
-          util::PrefetchRead(ops[i].seg->bucket((y + p) & mask));
-        }
+        segs[i] = Lookup(hashes[i]);
+        PrefetchSegment(segs[i], hashes[i], /*for_write=*/false);
         retry_pending.Push(i);
         ctr.Suspend(util::AmacState::kRetry);
       }
@@ -435,64 +292,47 @@ class CCEH {
         // Revalidate-and-finish over warm lines; the single-op loop keeps
         // retrying if writers stay ahead of us.
         statuses[base + i] =
-            SearchWithHash(keys[base + i], ops[i].hash, &values[base + i]);
+            SearchWithHash(keys[base + i], hashes[i], &values[base + i]);
       }
-      ctr.FlushTo(tele);
     }
   }
 
-  // Write machine: Hash -> DirProbe (resolve entry, prefetch header for
-  // ownership + the probe window) -> Execute (the ordinary locked per-op
-  // body). Fixed schedule — the whole write body runs under the
-  // segment's exclusive lock, so there is no variable-length continuation
-  // for the round-robin scheduler to interleave (see util/amac.h). Two
-  // plain passes realize the same memory schedule without the scheduler's
-  // bookkeeping.
-  template <typename ExecFn>
-  void AmacForEach(const KeyArg* keys, size_t count, ExecFn exec) {
-    util::AmacTelemetry& tele = util::AmacTelemetry::Local();
-    AmacOp ops[util::kBatchGroupWidth];
-    const uint32_t mask = opts_.buckets_per_segment - 1;
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      util::AmacGroupCounters ctr;
-      ++tele.groups;
-      tele.ops += n;
-      // One directory snapshot per group (a stale entry is re-validated
-      // by the execute body under the segment lock).
-      CcehDirectory* dir = Dir();
-      const uint64_t gd = dir->global_depth;
-      std::atomic<uint64_t>* entries = dir->entries();
-      for (size_t i = 0; i < n; ++i) {
-        ops[i].hash = KP::Hash(keys[base + i]);
-        const uint64_t idx = gd == 0 ? 0 : (ops[i].hash >> (64 - gd));
-        util::PrefetchRead(&entries[idx]);
-        ctr.Suspend(util::AmacState::kHash);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        const uint64_t idx = gd == 0 ? 0 : (ops[i].hash >> (64 - gd));
-        auto* seg = reinterpret_cast<CcehSegment*>(
-            entries[idx].load(std::memory_order_acquire));
-        util::PrefetchWrite(seg);  // header line holds the version lock
-        const uint32_t y =
-            CcehSegment::BucketIndex(ops[i].hash, opts_.buckets_per_segment);
-        for (uint64_t p = 0; p < kProbeBuckets; ++p) {
-          util::PrefetchRead(seg->bucket((y + p) & mask));
-        }
-        ctr.Suspend(util::AmacState::kDirProbe);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        // The body revalidates under the segment lock, so a directory
-        // gone stale since resolution costs one warm retry.
-        exec(base + i, keys[base + i], ops[i].hash);
-      }
-      ctr.FlushTo(tele);
-    }
+  // Write ops: the resolve + prefetch stage (header for ownership — it
+  // holds the segment lock), then the exclusive op bodies in index order,
+  // each in one pass visit (see the suspension constraint in
+  // util/amac.h). The bodies revalidate under the segment lock, so a
+  // directory gone stale since resolution costs one warm retry.
+
+  void MultiInsert(const KeyArg* keys, const uint64_t* values, size_t count,
+                   OpStatus* statuses) {
+    util::AmacWriteBatch(*epochs_, keys, count, Stage(/*for_write=*/true),
+                         [&](size_t i, KeyArg key, uint64_t h) {
+                           statuses[i] = InsertWithHash(key, values[i], h);
+                         });
   }
 
+  void MultiUpdate(const KeyArg* keys, const uint64_t* values, size_t count,
+                   OpStatus* statuses) {
+    util::AmacWriteBatch(*epochs_, keys, count, Stage(/*for_write=*/true),
+                         [&](size_t i, KeyArg key, uint64_t h) {
+                           statuses[i] = UpdateWithHash(key, values[i], h);
+                         });
+  }
+
+  void MultiDelete(const KeyArg* keys, size_t count, OpStatus* statuses) {
+    util::AmacWriteBatch(*epochs_, keys, count, Stage(/*for_write=*/true),
+                         [&](size_t i, KeyArg key, uint64_t h) {
+                           statuses[i] = DeleteWithHash(key, h);
+                         });
+  }
+
+  // Runs only the resolve + prefetch stage (pure hint; see
+  // DashEH::PrefetchBatch).
+  void PrefetchBatch(const KeyArg* keys, size_t count, bool for_write) {
+    util::AmacPrefetchOnly(*epochs_, keys, count, Stage(for_write));
+  }
+
+ private:
   // ---- per-op bodies (caller holds an epoch guard) ----
 
   OpStatus InsertWithHash(KeyArg key, uint64_t value, uint64_t h) {
@@ -608,14 +448,15 @@ class CCEH {
     }
   }
 
-  // Stages 1-2 of the batch pipeline: hash the group and prefetch each
-  // directory entry, then resolve the segments and prefetch the header
-  // (for ownership only on write batches — searches never write it) plus
-  // the bounded linear-probe window around the target bucket. The
-  // directory snapshot may go stale; the execute stage revalidates (under
-  // the segment lock for writes, via snapshot/verify for searches).
-  void PrefetchGroup(const KeyArg* keys, size_t n, uint64_t* hashes,
-                     bool for_write) {
+  // The batch engine's resolve + prefetch stage (the Hash and DirProbe
+  // passes): hash the group into `hashes` and prefetch each directory
+  // entry, then resolve the segments into `segs` and prefetch their
+  // headers and probe windows. The directory snapshot may go stale; the
+  // later passes revalidate (under the segment lock for writes, via
+  // snapshot/verify for searches).
+  void PrefetchGroup(const KeyArg* keys, size_t n, bool for_write,
+                     uint64_t* hashes, CcehSegment** segs,
+                     util::AmacGroupCounters& ctr) {
     CcehDirectory* dir = Dir();
     const uint64_t gd = dir->global_depth;
     std::atomic<uint64_t>* entries = dir->entries();
@@ -623,22 +464,41 @@ class CCEH {
       hashes[i] = KP::Hash(keys[i]);
       const uint64_t idx = gd == 0 ? 0 : (hashes[i] >> (64 - gd));
       util::PrefetchRead(&entries[idx]);
+      ctr.Suspend(util::AmacState::kHash);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      ++ctr.steps;
+      const uint64_t idx = gd == 0 ? 0 : (hashes[i] >> (64 - gd));
+      segs[i] = dir->entry(idx);
+      PrefetchSegment(segs[i], hashes[i], for_write);
+      ctr.Suspend(util::AmacState::kDirProbe);
+    }
+  }
+
+  // Prefetches a segment's header — for ownership only on writes, which
+  // take the PM-resident lock in it; searches only read the version — and
+  // the bounded linear-probe window around `h`'s target bucket.
+  void PrefetchSegment(CcehSegment* seg, uint64_t h, bool for_write) {
+    if (for_write) {
+      util::PrefetchWrite(seg);
+    } else {
+      util::PrefetchRead(seg);
     }
     const uint32_t mask = opts_.buckets_per_segment - 1;
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t idx = gd == 0 ? 0 : (hashes[i] >> (64 - gd));
-      CcehSegment* seg = dir->entry(idx);
-      if (for_write) {
-        util::PrefetchWrite(seg);  // header line holds the PM-resident lock
-      } else {
-        util::PrefetchRead(seg);
-      }
-      const uint32_t y =
-          CcehSegment::BucketIndex(hashes[i], opts_.buckets_per_segment);
-      for (uint64_t p = 0; p < kProbeBuckets; ++p) {
-        util::PrefetchRead(seg->bucket((y + p) & mask));
-      }
+    const uint32_t y = CcehSegment::BucketIndex(h, opts_.buckets_per_segment);
+    for (uint64_t p = 0; p < kProbeBuckets; ++p) {
+      util::PrefetchRead(seg->bucket((y + p) & mask));
     }
+  }
+
+  // PrefetchGroup as the util/amac.h write and prefetch-only drivers call
+  // it (they need no segment pointers).
+  auto Stage(bool for_write) {
+    return [this, for_write](const KeyArg* keys, size_t n, uint64_t* hashes,
+                             util::AmacGroupCounters& ctr) {
+      CcehSegment* segs[util::kBatchGroupWidth];
+      PrefetchGroup(keys, n, for_write, hashes, segs, ctr);
+    };
   }
 
  public:

@@ -144,94 +144,117 @@ class DashEH {
 
   // ---- batched operations ----
   //
-  // Two engines behind the same entry points (opts_.batch_pipeline):
-  //
-  //  * kGroup — the PR-1 three-stage pipeline: (1) hash every key and
-  //    prefetch its directory entry, (2) resolve the segment pointers and
-  //    prefetch each segment header plus the target/probing bucket lines,
-  //    (3) execute the ordinary per-op logic serially over warm lines.
-  //  * kAmac — per-op state machines (util/amac.h) scheduled as state
-  //    passes: every state transition that touches a cold line
-  //    (directory entry, segment header, bucket pair, stash buckets)
-  //    issues a prefetch and yields, so execute-stage misses — stash
-  //    probes, SMO-triggered retries — overlap across the group instead
-  //    of stalling serially.
-  //
-  // One epoch guard covers each group in both engines, and both reuse the
-  // single-op probe/retry bodies, so concurrent SMOs and lazy recovery
-  // behave exactly as in the single-op path.
+  // Per-op state machines (util/amac.h) scheduled as state passes: every
+  // state transition that touches a cold line (directory entry, segment
+  // header, bucket pair, stash buckets) issues a prefetch and yields, so
+  // execute-stage misses — stash probes, SMO-triggered retries — overlap
+  // across the group instead of stalling serially. Write ops run the
+  // fixed schedule (resolve + prefetch, then the locked body). Both reuse
+  // the single-op probe/retry bodies, so concurrent SMOs and lazy
+  // recovery behave exactly as in the single-op path.
 
+  // Interleaved search: Hash pass (hash + directory-entry prefetch) ->
+  // DirProbe pass (segment resolve; header and probe lines prefetched
+  // together — bucket addresses are pure arithmetic off the segment
+  // pointer, so the header need not be read first) -> BucketProbe pass
+  // (validate the warm header, probe the warm pair; ops whose overflow
+  // metadata implicates the stash prefetch their planned lines and
+  // suspend once more) -> Execute pass (stash scans over warm lines).
+  // Rare invalidations — concurrent SMO, lazy recovery, a torn
+  // optimistic read — fall back to the single-op retry loop, which is
+  // semantically identical and keeps the hot passes branch-lean.
   void MultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacMultiSearch(keys, count, values, statuses);
-      return;
+    uint64_t hashes[util::kBatchGroupWidth];
+    Segment* segs[util::kBatchGroupWidth];
+    Segment::StashPlan plans[util::kBatchGroupWidth];
+    for (auto& g : util::AmacGroups(*epochs_, count)) {
+      const size_t base = g.base;
+      const size_t n = g.n;
+      util::AmacGroupCounters& ctr = g.ctr;
+      PrefetchGroup(keys + base, n, /*for_write=*/false, hashes, segs, ctr);
+      util::AmacReadyList stash_pending;
+      for (size_t i = 0; i < n; ++i) {
+        ++ctr.steps;
+        const KeyArg key = keys[base + i];
+        if (opts_.concurrency != ConcurrencyMode::kOptimistic) {
+          // Pessimistic probes hold shared bucket locks; no suspend
+          // points inside a locked region (see util/amac.h).
+          statuses[base + i] =
+              SearchWithHash(key, hashes[i], &values[base + i]);
+          continue;
+        }
+        OpStatus status = OpStatus::kRetry;
+        plans[i] = Segment::StashPlan{};
+        if (segs[i]->version() == root_->global_version) {
+          Segment* seg = segs[i];
+          status = seg->template SearchPairOptimistic<KP>(
+              key, hashes[i], opts_, &values[base + i],
+              [&] { return SegmentValid(seg, hashes[i]); }, &plans[i]);
+        }
+        if (status == OpStatus::kRetry) {
+          // Unrecovered segment, stale view or torn read: the single-op
+          // loop (LookupLive + Search) recovers, helps and retries.
+          ctr.Suspend(util::AmacState::kRetry);
+          statuses[base + i] =
+              SearchWithHash(key, hashes[i], &values[base + i]);
+          continue;
+        }
+        if (plans[i].pending) {
+          segs[i]->PrefetchStashPlan(plans[i]);
+          stash_pending.Push(i);
+          ctr.Suspend(util::AmacState::kBucketProbe);
+          continue;
+        }
+        statuses[base + i] = status;
+      }
+      for (size_t j = 0; j < stash_pending.count; ++j) {
+        const size_t i = stash_pending.idx[j];
+        ++ctr.steps;
+        const KeyArg key = keys[base + i];
+        const OpStatus status = segs[i]->template SearchStashPlanned<KP>(
+            key, Segment::Fingerprint(hashes[i]), plans[i], opts_,
+            &values[base + i]);
+        if (status == OpStatus::kRetry) {
+          ctr.Suspend(util::AmacState::kRetry);
+          statuses[base + i] =
+              SearchWithHash(key, hashes[i], &values[base + i]);
+          continue;
+        }
+        statuses[base + i] = status;
+      }
     }
-    ForEachGroup(keys, count, /*for_write=*/false,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = SearchWithHash(key, h, &values[i]);
-                 });
   }
 
   void MultiInsert(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, /*for_write=*/true,
-                  [&](size_t i, KeyArg key, uint64_t h) {
-                    statuses[i] = InsertWithHash(key, values[i], h);
-                  });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = InsertWithHash(key, values[i], h);
-                 });
+    util::AmacWriteBatch(*epochs_, keys, count, Stage(/*for_write=*/true),
+                         [&](size_t i, KeyArg key, uint64_t h) {
+                           statuses[i] = InsertWithHash(key, values[i], h);
+                         });
   }
 
   void MultiUpdate(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, /*for_write=*/true,
-                  [&](size_t i, KeyArg key, uint64_t h) {
-                    statuses[i] = UpdateWithHash(key, values[i], h);
-                  });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = UpdateWithHash(key, values[i], h);
-                 });
+    util::AmacWriteBatch(*epochs_, keys, count, Stage(/*for_write=*/true),
+                         [&](size_t i, KeyArg key, uint64_t h) {
+                           statuses[i] = UpdateWithHash(key, values[i], h);
+                         });
   }
 
   void MultiDelete(const KeyArg* keys, size_t count, OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, /*for_write=*/true,
-                  [&](size_t i, KeyArg key, uint64_t h) {
-                    statuses[i] = DeleteWithHash(key, h);
-                  });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = DeleteWithHash(key, h);
-                 });
+    util::AmacWriteBatch(*epochs_, keys, count, Stage(/*for_write=*/true),
+                         [&](size_t i, KeyArg key, uint64_t h) {
+                           statuses[i] = DeleteWithHash(key, h);
+                         });
   }
 
-  // Batch-engine selector (A/B testing hook; volatile).
-  void set_batch_pipeline(BatchPipeline p) { opts_.batch_pipeline = p; }
-
-  // Runs only the prefetch stages (1-2) of the batch pipeline, warming
+  // Runs only the resolve + prefetch stage of the batch engine, warming
   // the directory/segment/bucket lines the given keys will touch. A pure
   // hint — no semantic effect. ShardedStore uses it to overlap one
   // shard's memory stalls with another shard's execution.
   void PrefetchBatch(const KeyArg* keys, size_t count, bool for_write) {
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      // Guard: stage 2 dereferences directory entries.
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, for_write);
-    }
+    util::AmacPrefetchOnly(*epochs_, keys, count, Stage(for_write));
   }
 
   // Test/maintenance hook: attempts one merge of the buddy pair covering
@@ -344,181 +367,6 @@ class DashEH {
   bool SplitForTest(uint64_t h) { return Split(LookupLive(h), h); }
 
  private:
-  // Batch scaffold: per group of
-  // kBatchGroupWidth operations run the prefetch stages and invoke
-  // exec(global_index, key, hash) for each.
-  template <typename ExecFn>
-  void ForEachGroup(const KeyArg* keys, size_t count, bool for_write,
-                    ExecFn exec) {
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      // One guard per group: amortizes the seq-cst epoch pin over
-      // kBatchGroupWidth ops without stalling reclamation for the whole
-      // (unbounded) batch.
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, for_write);
-      for (size_t i = 0; i < n; ++i) {
-        exec(base + i, keys[base + i], hashes[i]);
-      }
-    }
-  }
-
-  // ---- state-machine (AMAC) engine ----
-  //
-  // Monotonic per-op machines scheduled as state passes (util/amac.h):
-  // each pass is one round-robin lap over the ops still in flight, and
-  // every prefetch issued in pass k has a full lap of foreign work
-  // between issue and first use in pass k+1.
-
-  // Interleaved search: Hash pass (hash + directory-entry prefetch) ->
-  // DirProbe pass (segment resolve; header and probe lines prefetched
-  // together — bucket addresses are pure arithmetic off the segment
-  // pointer, so the header need not be read first) -> BucketProbe pass
-  // (validate the warm header, probe the warm pair; ops whose overflow
-  // metadata implicates the stash prefetch their planned lines and
-  // suspend once more) -> Execute pass (stash scans over warm lines).
-  // Rare invalidations — concurrent SMO, lazy recovery, a torn
-  // optimistic read — fall back to the single-op retry loop, which is
-  // semantically identical and keeps the hot passes branch-lean.
-  void AmacMultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
-                       OpStatus* statuses) {
-    util::AmacTelemetry& tele = util::AmacTelemetry::Local();
-    uint64_t hashes[util::kBatchGroupWidth];
-    Segment* segs[util::kBatchGroupWidth];
-    Segment::StashPlan plans[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      util::AmacGroupCounters ctr;
-      ++tele.groups;
-      tele.ops += n;
-      // One directory snapshot per group; stale resolutions are caught
-      // by SegmentValid (which reads the live directory) and fall back.
-      // The epoch guard keeps a concurrently replaced directory mapped
-      // for the duration of the group.
-      EhDirectory* dir = CurrentDir();
-      const uint64_t gd = dir->global_depth;
-      std::atomic<uint64_t>* entries = dir->entries();
-      for (size_t i = 0; i < n; ++i) {
-        hashes[i] = KP::Hash(keys[base + i]);
-        util::PrefetchRead(&entries[DirIndex(hashes[i], gd)]);
-        ctr.Suspend(util::AmacState::kHash);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        segs[i] = reinterpret_cast<Segment*>(
-            entries[DirIndex(hashes[i], gd)].load(std::memory_order_acquire));
-        util::PrefetchRead(segs[i]);  // header: version / depth / pattern
-        segs[i]->PrefetchProbe(hashes[i], opts_.buckets_per_segment,
-                               opts_.use_probing_bucket, /*for_write=*/false);
-        ctr.Suspend(util::AmacState::kDirProbe);
-      }
-      util::AmacReadyList stash_pending;
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        const KeyArg key = keys[base + i];
-        if (opts_.concurrency != ConcurrencyMode::kOptimistic) {
-          // Pessimistic probes hold shared bucket locks; no suspend
-          // points inside a locked region (see util/amac.h).
-          statuses[base + i] =
-              SearchWithHash(key, hashes[i], &values[base + i]);
-          continue;
-        }
-        OpStatus status = OpStatus::kRetry;
-        plans[i] = Segment::StashPlan{};
-        if (segs[i]->version() == root_->global_version) {
-          Segment* seg = segs[i];
-          status = seg->template SearchPairOptimistic<KP>(
-              key, hashes[i], opts_, &values[base + i],
-              [&] { return SegmentValid(seg, hashes[i]); }, &plans[i]);
-        }
-        if (status == OpStatus::kRetry) {
-          // Unrecovered segment, stale view or torn read: the single-op
-          // loop (LookupLive + Search) recovers, helps and retries.
-          ctr.Suspend(util::AmacState::kRetry);
-          statuses[base + i] =
-              SearchWithHash(key, hashes[i], &values[base + i]);
-          continue;
-        }
-        if (plans[i].pending) {
-          segs[i]->PrefetchStashPlan(plans[i]);
-          stash_pending.Push(i);
-          ctr.Suspend(util::AmacState::kBucketProbe);
-          continue;
-        }
-        statuses[base + i] = status;
-      }
-      for (size_t j = 0; j < stash_pending.count; ++j) {
-        const size_t i = stash_pending.idx[j];
-        ++ctr.steps;
-        const KeyArg key = keys[base + i];
-        const OpStatus status = segs[i]->template SearchStashPlanned<KP>(
-            key, Segment::Fingerprint(hashes[i]), plans[i], opts_,
-            &values[base + i]);
-        if (status == OpStatus::kRetry) {
-          ctr.Suspend(util::AmacState::kRetry);
-          statuses[base + i] =
-              SearchWithHash(key, hashes[i], &values[base + i]);
-          continue;
-        }
-        statuses[base + i] = status;
-      }
-      ctr.FlushTo(tele);
-    }
-  }
-
-  // Write engine: a fixed-schedule machine — every op takes exactly the
-  // same resolution steps, and the op body itself (which takes bucket
-  // locks and may run an SMO) must execute in one pass visit over warm
-  // lines. Two passes realize the schedule: resolve + prefetch every op
-  // (each issue overlaps the previous ops' in-flight lines), then
-  // execute in index order (which also preserves the batch API's
-  // same-type ordering).
-  template <typename ExecFn>
-  void AmacForEach(const KeyArg* keys, size_t count, bool for_write,
-                   ExecFn exec) {
-    util::AmacTelemetry& tele = util::AmacTelemetry::Local();
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      util::AmacGroupCounters ctr;
-      ++tele.groups;
-      tele.ops += n;
-      // One directory snapshot per group; the op bodies re-resolve
-      // through the live directory themselves.
-      EhDirectory* dir = CurrentDir();
-      const uint64_t gd = dir->global_depth;
-      std::atomic<uint64_t>* entries = dir->entries();
-      for (size_t i = 0; i < n; ++i) {
-        hashes[i] = KP::Hash(keys[base + i]);
-        util::PrefetchRead(&entries[DirIndex(hashes[i], gd)]);
-        ctr.Suspend(util::AmacState::kHash);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        auto* seg = reinterpret_cast<Segment*>(
-            entries[DirIndex(hashes[i], gd)].load(std::memory_order_acquire));
-        if (for_write) {
-          util::PrefetchWrite(seg);
-        } else {
-          util::PrefetchRead(seg);
-        }
-        // Bucket addresses are pure arithmetic off the segment pointer,
-        // so the probe lines go in flight with the header.
-        seg->PrefetchProbe(hashes[i], opts_.buckets_per_segment,
-                           opts_.use_probing_bucket, for_write);
-        ctr.Suspend(util::AmacState::kDirProbe);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        exec(base + i, keys[base + i], hashes[i]);
-      }
-      ctr.FlushTo(tele);
-    }
-  }
-
   // ---- per-op bodies (caller holds an epoch guard) ----
 
   OpStatus InsertWithHash(KeyArg key, uint64_t value, uint64_t h) {
@@ -577,27 +425,48 @@ class DashEH {
     }
   }
 
-  // Stages 1-2 of the batch pipeline: hashes the group's keys into
-  // `hashes`, prefetching the directory entry line for each, then resolves
-  // the segment pointers and prefetches each segment header and target
-  // bucket lines. The directory snapshot may go stale concurrently; the
-  // execute stage revalidates through the normal LookupLive/SegmentValid
-  // path, so a stale prefetch costs at most an extra miss.
-  void PrefetchGroup(const KeyArg* keys, size_t n, uint64_t* hashes,
-                     bool for_write) {
+  // The batch engine's resolve + prefetch stage (the Hash and DirProbe
+  // passes): hashes the group's keys into `hashes`, prefetching the
+  // directory entry line for each, then resolves the segment pointers
+  // into `segs` and prefetches each segment header (for ownership on
+  // writes) and its target/probing bucket lines. The directory snapshot
+  // may go stale concurrently; later passes revalidate through
+  // SegmentValid / LookupLive, so a stale prefetch costs at most an extra
+  // miss.
+  void PrefetchGroup(const KeyArg* keys, size_t n, bool for_write,
+                     uint64_t* hashes, Segment** segs,
+                     util::AmacGroupCounters& ctr) {
     EhDirectory* dir = CurrentDir();
     const uint64_t gd = dir->global_depth;
     std::atomic<uint64_t>* entries = dir->entries();
     for (size_t i = 0; i < n; ++i) {
       hashes[i] = KP::Hash(keys[i]);
       util::PrefetchRead(&entries[DirIndex(hashes[i], gd)]);
+      ctr.Suspend(util::AmacState::kHash);
     }
     for (size_t i = 0; i < n; ++i) {
-      Segment* seg = dir->entry(DirIndex(hashes[i], gd));
-      util::PrefetchRead(seg);  // header: version / depth-state / pattern
-      seg->PrefetchProbe(hashes[i], opts_.buckets_per_segment,
-                         opts_.use_probing_bucket, for_write);
+      ++ctr.steps;
+      segs[i] = dir->entry(DirIndex(hashes[i], gd));
+      // Header: version / depth-state / pattern.
+      if (for_write) {
+        util::PrefetchWrite(segs[i]);
+      } else {
+        util::PrefetchRead(segs[i]);
+      }
+      segs[i]->PrefetchProbe(hashes[i], opts_.buckets_per_segment,
+                             opts_.use_probing_bucket, for_write);
+      ctr.Suspend(util::AmacState::kDirProbe);
     }
+  }
+
+  // PrefetchGroup as the util/amac.h write and prefetch-only drivers call
+  // it (they need no segment pointers).
+  auto Stage(bool for_write) {
+    return [this, for_write](const KeyArg* keys, size_t n, uint64_t* hashes,
+                             util::AmacGroupCounters& ctr) {
+      Segment* segs[util::kBatchGroupWidth];
+      PrefetchGroup(keys, n, for_write, hashes, segs, ctr);
+    };
   }
 
   // ---- creation / open ----

@@ -326,7 +326,6 @@ struct HybridOptions {
   uint32_t initial_depth = 1;
   uint32_t log_lanes = 16;            // power of two <= kMaxLanes
   uint32_t records_per_chunk = 2048;  // 64 KB PM chunks
-  BatchPipeline batch_pipeline = BatchPipeline::kAmac;
   // Checkpoint file path; empty disables checkpoint write and load.
   std::string checkpoint_path;
   // Lane-parallel rebuild workers for the full-scan recovery path.
@@ -512,70 +511,135 @@ class HybridTable {
     return UpdateWithHash(key, value, h);
   }
 
-  // ---- batched operations (engines mirror CCEH; see cceh.h) ----
+  // ---- batched operations (the AMAC machines mirror CCEH; see cceh.h) ----
 
+  // Lock-free search machine. The DRAM passes (hash -> directory ->
+  // bucket probe) suspend far less than the PM tables' equivalents —
+  // the deep miss the engine exists to hide is the PM value record, so
+  // the bucket-probe pass resolves the handle, puts the record line in
+  // flight, and suspends once more before the execute pass reads the
+  // value and revalidates.
   void MultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacMultiSearch(keys, count, values, statuses);
-      return;
+    uint64_t hashes[util::kBatchGroupWidth];
+    HybridSegment* segs[util::kBatchGroupWidth];
+    uint32_t snaps[util::kBatchGroupWidth];
+    uint64_t handles[util::kBatchGroupWidth];
+    for (auto& g : util::AmacGroups(*epochs_, count)) {
+      const size_t base = g.base;
+      const size_t n = g.n;
+      util::AmacGroupCounters& ctr = g.ctr;
+      PrefetchGroup(keys + base, n, /*for_write=*/false, hashes, segs, ctr);
+      // Bucket-probe pass: resolve the handle in DRAM, launch the PM
+      // record prefetch, defer the value read to the execute pass.
+      util::AmacReadyList exec_pending;
+      util::AmacReadyList retry_pending;
+      for (size_t i = 0; i < n; ++i) {
+        ++ctr.steps;
+        HybridSegment* seg = segs[i];
+        const uint64_t h = hashes[i];
+        const uint32_t snap = seg->lock.Snapshot();
+        bool conflict = false;
+        if (util::VersionLock::IsLocked(snap)) {
+          lock_stats_.CountConflict();
+          conflict = true;
+        } else {
+          const uint32_t ld = seg->local_depth();
+          if (ld != 0 && (h >> (64 - ld)) != seg->PatternAcquire()) {
+            lock_stats_.CountRetry();
+            conflict = true;
+          }
+        }
+        if (!conflict) {
+          HybridBucket* bucket =
+              seg->bucket(HybridSegment::BucketIndex(h, seg->num_buckets));
+          bool in_stash = false;
+          HybridSlot* slot =
+              ProbeSegment(seg, bucket, h, keys[base + i], &in_stash);
+          if (slot == nullptr) {
+            if (seg->lock.Verify(snap)) {
+              statuses[base + i] = OpStatus::kNotFound;
+              continue;
+            }
+            lock_stats_.CountRetry();
+            conflict = true;
+          } else {
+            const uint64_t handle = slot->LoadOffAcquire();
+            if (handle != 0) {
+              snaps[i] = snap;
+              handles[i] = handle;
+              util::PrefetchRead(log_->Record(handle));
+              exec_pending.Push(i);
+              ctr.Suspend(util::AmacState::kBucketProbe);
+              continue;
+            }
+            lock_stats_.CountRetry();
+            conflict = true;
+          }
+        }
+        // Conflict or stale view: re-resolve through the live directory,
+        // put fresh lines in flight, finish in the retry pass.
+        segs[i] = Lookup(h);
+        PrefetchSegment(segs[i], h, /*for_write=*/false);
+        retry_pending.Push(i);
+        ctr.Suspend(util::AmacState::kRetry);
+      }
+      // Execute pass: the PM value read over the warm record line.
+      for (size_t j = 0; j < exec_pending.count; ++j) {
+        const size_t i = exec_pending.idx[j];
+        ++ctr.steps;
+        LogRecord* rec = log_->Record(handles[i]);
+        pmem::ReadProbe(rec);
+        const uint64_t value = rec->LoadValueAcquire();
+        if (segs[i]->lock.Verify(snaps[i])) {
+          values[base + i] = value;
+          statuses[base + i] = OpStatus::kOk;
+        } else {
+          lock_stats_.CountRetry();
+          statuses[base + i] =
+              SearchWithHash(keys[base + i], hashes[i], &values[base + i]);
+        }
+      }
+      for (size_t j = 0; j < retry_pending.count; ++j) {
+        const size_t i = retry_pending.idx[j];
+        ++ctr.steps;
+        statuses[base + i] =
+            SearchWithHash(keys[base + i], hashes[i], &values[base + i]);
+      }
     }
-    ForEachGroup(keys, count, /*for_write=*/false,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = SearchWithHash(key, h, &values[i]);
-                 });
   }
+
+  // Write ops: the fixed schedule, same reasoning as CCEH — the whole
+  // write body runs under the segment's exclusive lock, so there is no
+  // variable-length continuation to interleave.
 
   void MultiInsert(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-        statuses[i] = InsertWithHash(key, values[i], h);
-      });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = InsertWithHash(key, values[i], h);
-                 });
+    util::AmacWriteBatch(*epochs_, keys, count, Stage(/*for_write=*/true),
+                         [&](size_t i, KeyArg key, uint64_t h) {
+                           statuses[i] = InsertWithHash(key, values[i], h);
+                         });
   }
 
   void MultiUpdate(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-        statuses[i] = UpdateWithHash(key, values[i], h);
-      });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = UpdateWithHash(key, values[i], h);
-                 });
+    util::AmacWriteBatch(*epochs_, keys, count, Stage(/*for_write=*/true),
+                         [&](size_t i, KeyArg key, uint64_t h) {
+                           statuses[i] = UpdateWithHash(key, values[i], h);
+                         });
   }
 
   void MultiDelete(const KeyArg* keys, size_t count, OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-        statuses[i] = DeleteWithHash(key, h);
-      });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = DeleteWithHash(key, h);
-                 });
+    util::AmacWriteBatch(*epochs_, keys, count, Stage(/*for_write=*/true),
+                         [&](size_t i, KeyArg key, uint64_t h) {
+                           statuses[i] = DeleteWithHash(key, h);
+                         });
   }
 
-  void set_batch_pipeline(BatchPipeline p) { opts_.batch_pipeline = p; }
-
+  // Runs only the resolve + prefetch stage (pure hint; see
+  // DashEH::PrefetchBatch).
   void PrefetchBatch(const KeyArg* keys, size_t count, bool for_write) {
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, for_write);
-    }
+    util::AmacPrefetchOnly(*epochs_, keys, count, Stage(for_write));
   }
 
   uint64_t global_depth() const { return Dir()->global_depth; }
@@ -1739,24 +1803,15 @@ class HybridTable {
     dir_lock_.Unlock();
   }
 
-  // ---- batch scaffolding ----
+  // ---- batch engine stage ----
 
-  template <typename ExecFn>
-  void ForEachGroup(const KeyArg* keys, size_t count, bool for_write,
-                    ExecFn exec) {
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, for_write);
-      for (size_t i = 0; i < n; ++i) {
-        exec(base + i, keys[base + i], hashes[i]);
-      }
-    }
-  }
-
-  void PrefetchGroup(const KeyArg* keys, size_t n, uint64_t* hashes,
-                     bool for_write) {
+  // The resolve + prefetch stage (the Hash and DirProbe passes): hash the
+  // group into `hashes` and prefetch each directory entry, then resolve
+  // the segments into `segs` and prefetch their headers and target
+  // buckets. Later passes revalidate a snapshot gone stale.
+  void PrefetchGroup(const KeyArg* keys, size_t n, bool for_write,
+                     uint64_t* hashes, HybridSegment** segs,
+                     util::AmacGroupCounters& ctr) {
     HybridDirectory* dir = Dir();
     const uint64_t gd = dir->global_depth;
     std::atomic<uint64_t>* entries = dir->entries();
@@ -1764,192 +1819,38 @@ class HybridTable {
       hashes[i] = KP::Hash(keys[i]);
       const uint64_t idx = gd == 0 ? 0 : (hashes[i] >> (64 - gd));
       util::PrefetchRead(&entries[idx]);
+      ctr.Suspend(util::AmacState::kHash);
     }
     for (size_t i = 0; i < n; ++i) {
+      ++ctr.steps;
       const uint64_t idx = gd == 0 ? 0 : (hashes[i] >> (64 - gd));
-      auto* seg = reinterpret_cast<HybridSegment*>(
-          entries[idx].load(std::memory_order_acquire));
-      if (for_write) {
-        util::PrefetchWrite(seg);  // header line holds the version lock
-      } else {
-        util::PrefetchRead(seg);
-      }
-      util::PrefetchRange(
-          seg->bucket(HybridSegment::BucketIndex(hashes[i], seg->num_buckets)),
-          sizeof(HybridBucket));
+      segs[i] = dir->entry(idx);
+      PrefetchSegment(segs[i], hashes[i], for_write);
+      ctr.Suspend(util::AmacState::kDirProbe);
     }
   }
 
-  // ---- state-machine (AMAC) engines ----
-
-  struct AmacOp {
-    uint64_t hash;
-    HybridSegment* seg;
-    uint32_t snap;
-    uint64_t handle;
-  };
-
-  // Lock-free search machine. The DRAM passes (hash -> directory ->
-  // bucket probe) suspend far less than the PM tables' equivalents —
-  // the deep miss the engine exists to hide is the PM value record, so
-  // the bucket-probe pass resolves the handle, puts the record line in
-  // flight, and suspends once more before the execute pass reads the
-  // value and revalidates.
-  void AmacMultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
-                       OpStatus* statuses) {
-    util::AmacTelemetry& tele = util::AmacTelemetry::Local();
-    AmacOp ops[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      util::AmacGroupCounters ctr;
-      ++tele.groups;
-      tele.ops += n;
-      HybridDirectory* dir = Dir();
-      const uint64_t gd = dir->global_depth;
-      std::atomic<uint64_t>* entries = dir->entries();
-      for (size_t i = 0; i < n; ++i) {
-        ops[i].hash = KP::Hash(keys[base + i]);
-        const uint64_t idx = gd == 0 ? 0 : (ops[i].hash >> (64 - gd));
-        util::PrefetchRead(&entries[idx]);
-        ctr.Suspend(util::AmacState::kHash);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        const uint64_t idx = gd == 0 ? 0 : (ops[i].hash >> (64 - gd));
-        ops[i].seg = reinterpret_cast<HybridSegment*>(
-            entries[idx].load(std::memory_order_acquire));
-        util::PrefetchRead(ops[i].seg);
-        util::PrefetchRange(
-            ops[i].seg->bucket(HybridSegment::BucketIndex(
-                ops[i].hash, ops[i].seg->num_buckets)),
-            sizeof(HybridBucket));
-        ctr.Suspend(util::AmacState::kDirProbe);
-      }
-      // Bucket-probe pass: resolve the handle in DRAM, launch the PM
-      // record prefetch, defer the value read to the execute pass.
-      util::AmacReadyList exec_pending;
-      util::AmacReadyList retry_pending;
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        HybridSegment* seg = ops[i].seg;
-        const uint64_t h = ops[i].hash;
-        const uint32_t snap = seg->lock.Snapshot();
-        bool conflict = false;
-        if (util::VersionLock::IsLocked(snap)) {
-          lock_stats_.CountConflict();
-          conflict = true;
-        } else {
-          const uint32_t ld = seg->local_depth();
-          if (ld != 0 && (h >> (64 - ld)) != seg->PatternAcquire()) {
-            lock_stats_.CountRetry();
-            conflict = true;
-          }
-        }
-        if (!conflict) {
-          HybridBucket* bucket =
-              seg->bucket(HybridSegment::BucketIndex(h, seg->num_buckets));
-          bool in_stash = false;
-          HybridSlot* slot =
-              ProbeSegment(seg, bucket, h, keys[base + i], &in_stash);
-          if (slot == nullptr) {
-            if (seg->lock.Verify(snap)) {
-              statuses[base + i] = OpStatus::kNotFound;
-              continue;
-            }
-            lock_stats_.CountRetry();
-            conflict = true;
-          } else {
-            const uint64_t handle = slot->LoadOffAcquire();
-            if (handle != 0) {
-              ops[i].snap = snap;
-              ops[i].handle = handle;
-              util::PrefetchRead(log_->Record(handle));
-              exec_pending.Push(i);
-              ctr.Suspend(util::AmacState::kBucketProbe);
-              continue;
-            }
-            lock_stats_.CountRetry();
-            conflict = true;
-          }
-        }
-        // Conflict or stale view: re-resolve through the live directory,
-        // put fresh lines in flight, finish in the retry pass.
-        ops[i].seg = Lookup(h);
-        util::PrefetchRead(ops[i].seg);
-        util::PrefetchRange(
-            ops[i].seg->bucket(
-                HybridSegment::BucketIndex(h, ops[i].seg->num_buckets)),
-            sizeof(HybridBucket));
-        retry_pending.Push(i);
-        ctr.Suspend(util::AmacState::kRetry);
-      }
-      // Execute pass: the PM value read over the warm record line.
-      for (size_t j = 0; j < exec_pending.count; ++j) {
-        const size_t i = exec_pending.idx[j];
-        ++ctr.steps;
-        LogRecord* rec = log_->Record(ops[i].handle);
-        pmem::ReadProbe(rec);
-        const uint64_t value = rec->LoadValueAcquire();
-        if (ops[i].seg->lock.Verify(ops[i].snap)) {
-          values[base + i] = value;
-          statuses[base + i] = OpStatus::kOk;
-        } else {
-          lock_stats_.CountRetry();
-          statuses[base + i] =
-              SearchWithHash(keys[base + i], ops[i].hash, &values[base + i]);
-        }
-      }
-      for (size_t j = 0; j < retry_pending.count; ++j) {
-        const size_t i = retry_pending.idx[j];
-        ++ctr.steps;
-        statuses[base + i] =
-            SearchWithHash(keys[base + i], ops[i].hash, &values[base + i]);
-      }
-      ctr.FlushTo(tele);
+  // Prefetches a segment's header (for ownership on writes: it holds the
+  // version lock) and `h`'s target bucket.
+  void PrefetchSegment(HybridSegment* seg, uint64_t h, bool for_write) {
+    if (for_write) {
+      util::PrefetchWrite(seg);
+    } else {
+      util::PrefetchRead(seg);
     }
+    util::PrefetchRange(
+        seg->bucket(HybridSegment::BucketIndex(h, seg->num_buckets)),
+        sizeof(HybridBucket));
   }
 
-  // Write machine: fixed two-pass schedule, same reasoning as CCEH — the
-  // whole write body runs under the segment's exclusive lock, so there is
-  // no variable-length continuation to interleave.
-  template <typename ExecFn>
-  void AmacForEach(const KeyArg* keys, size_t count, ExecFn exec) {
-    util::AmacTelemetry& tele = util::AmacTelemetry::Local();
-    AmacOp ops[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      util::AmacGroupCounters ctr;
-      ++tele.groups;
-      tele.ops += n;
-      HybridDirectory* dir = Dir();
-      const uint64_t gd = dir->global_depth;
-      std::atomic<uint64_t>* entries = dir->entries();
-      for (size_t i = 0; i < n; ++i) {
-        ops[i].hash = KP::Hash(keys[base + i]);
-        const uint64_t idx = gd == 0 ? 0 : (ops[i].hash >> (64 - gd));
-        util::PrefetchRead(&entries[idx]);
-        ctr.Suspend(util::AmacState::kHash);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        const uint64_t idx = gd == 0 ? 0 : (ops[i].hash >> (64 - gd));
-        auto* seg = reinterpret_cast<HybridSegment*>(
-            entries[idx].load(std::memory_order_acquire));
-        util::PrefetchWrite(seg);
-        util::PrefetchRange(
-            seg->bucket(HybridSegment::BucketIndex(ops[i].hash,
-                                                   seg->num_buckets)),
-            sizeof(HybridBucket));
-        ctr.Suspend(util::AmacState::kDirProbe);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        exec(base + i, keys[base + i], ops[i].hash);
-      }
-      ctr.FlushTo(tele);
-    }
+  // PrefetchGroup as the util/amac.h write and prefetch-only drivers call
+  // it (they need no segment pointers).
+  auto Stage(bool for_write) {
+    return [this, for_write](const KeyArg* keys, size_t n, uint64_t* hashes,
+                             util::AmacGroupCounters& ctr) {
+      HybridSegment* segs[util::kBatchGroupWidth];
+      PrefetchGroup(keys, n, for_write, hashes, segs, ctr);
+    };
   }
 
   // ---- verification helper ----

@@ -114,8 +114,6 @@ struct LevelRoot {
 struct LevelOptions {
   // Initial top-level bucket count (power of two). 2^10 x 128 B = 128 KB.
   uint64_t initial_top_buckets = 1024;
-  // Batch engine behind Multi* (see dash::BatchPipeline).
-  BatchPipeline batch_pipeline = BatchPipeline::kAmac;
 };
 
 struct LevelStats {
@@ -197,75 +195,138 @@ class LevelHashing {
 
   // ---- batched operations ----
   //
-  // Two engines (opts_.batch_pipeline). kGroup (PR-1): compute both hash
-  // choices for every key in the group, prefetch all four candidate
-  // buckets (two top, two bottom), then run the ordinary per-op logic
-  // serially over warm cachelines. kAmac splits the two-level reprobe
-  // into resumable halves: each search prefetches only its two top-level
-  // candidates first, yields, probes them, and only on a top-level miss
-  // prefetches + probes the bottom (standby) level — so one op's
-  // bottom-level fill overlaps other ops' top-level probes, and top-level
-  // hits never fetch bottom lines at all. Searches are optimistic (no
-  // stripe or resize lock held), so every suspend point is lock-free; a
-  // resize that commits mid-group fails the per-op revalidation and the
-  // op finishes through the Retry path. One epoch guard per group in both
-  // engines.
-
+  // Per-op state machines (util/amac.h). A search splits the two-level
+  // reprobe into resumable halves: it prefetches only its first top-level
+  // candidate, yields, probes it, and only on a miss moves on to the
+  // second top candidate and then the bottom (standby) level — so one
+  // op's bottom-level fill overlaps other ops' top-level probes, and
+  // top-level hits never fetch bottom lines at all.
+  //
+  // Searches take no locks at all, so every suspend point is lock-free:
+  // one resize-version snapshot covers the group (the candidate pointers
+  // computed in the Hash pass stay valid across suspends — the epoch
+  // guard keeps even a concurrently retired bottom array mapped), each op
+  // revalidates the snapshot when it completes, and ops that lose the
+  // race against a resize commit finish through the single-op retry loop
+  // in a dedicated Retry pass.
   void MultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacMultiSearch(keys, count, values, statuses);
-      return;
+    uint64_t h1s[util::kBatchGroupWidth];
+    Candidates cands[util::kBatchGroupWidth];
+    for (auto& g : util::AmacGroups(*epochs_, count)) {
+      const size_t base = g.base;
+      const size_t n = g.n;
+      util::AmacGroupCounters& ctr = g.ctr;
+      const uint32_t rs = SnapshotResize();
+      for (size_t i = 0; i < n; ++i) {
+        h1s[i] = KP::Hash(keys[base + i]);
+        cands[i] = Locate(h1s[i], util::Mix64(h1s[i]));
+        // First top candidate only: each later candidate is fetched
+        // lazily on a miss of the previous one, keeping the group's
+        // outstanding-prefetch burst within what the core's miss buffers
+        // can track (16 ops x 2 lines instead of x 4+).
+        util::PrefetchRange(cands[i].buckets[0], sizeof(LevelBucket));
+        ctr.Suspend(util::AmacState::kHash);
+      }
+      util::AmacReadyList second_pending;
+      util::AmacReadyList bottom_pending;
+      util::AmacReadyList retry_pending;
+      for (size_t i = 0; i < n; ++i) {
+        ++ctr.steps;
+        if (ProbeCandidateRangeOptimistic(cands[i], 0, 1, h1s[i],
+                                          keys[base + i],
+                                          &values[base + i])) {
+          if (resize_lock_.Verify(rs)) {
+            statuses[base + i] = OpStatus::kOk;
+          } else {
+            retry_pending.Push(i);
+            ctr.Suspend(util::AmacState::kRetry);
+          }
+          continue;
+        }
+        util::PrefetchRange(cands[i].buckets[1], sizeof(LevelBucket));
+        second_pending.Push(i);
+        ctr.Suspend(util::AmacState::kDirProbe);
+      }
+      for (size_t j = 0; j < second_pending.count; ++j) {
+        const size_t i = second_pending.idx[j];
+        ++ctr.steps;
+        if (ProbeCandidateRangeOptimistic(cands[i], 1, 2, h1s[i],
+                                          keys[base + i],
+                                          &values[base + i])) {
+          if (resize_lock_.Verify(rs)) {
+            statuses[base + i] = OpStatus::kOk;
+          } else {
+            retry_pending.Push(i);
+            ctr.Suspend(util::AmacState::kRetry);
+          }
+          continue;
+        }
+        util::PrefetchRange(cands[i].buckets[2], sizeof(LevelBucket));
+        util::PrefetchRange(cands[i].buckets[3], sizeof(LevelBucket));
+        bottom_pending.Push(i);
+        ctr.Suspend(util::AmacState::kBucketProbe);
+      }
+      for (size_t j = 0; j < bottom_pending.count; ++j) {
+        const size_t i = bottom_pending.idx[j];
+        ++ctr.steps;
+        // Bottom (standby) level reprobe over warm lines.
+        const bool found = ProbeCandidateRangeOptimistic(
+            cands[i], 2, 4, h1s[i], keys[base + i], &values[base + i]);
+        if (resize_lock_.Verify(rs)) {
+          statuses[base + i] = found ? OpStatus::kOk : OpStatus::kNotFound;
+        } else {
+          retry_pending.Push(i);
+          ctr.Suspend(util::AmacState::kRetry);
+        }
+      }
+      for (size_t j = 0; j < retry_pending.count; ++j) {
+        const size_t i = retry_pending.idx[j];
+        ++ctr.steps;
+        // A resize committed mid-group: redo against the live arrays
+        // (fresh snapshot, fresh candidate pointers).
+        lock_stats_.CountRetry();
+        statuses[base + i] =
+            SearchWithHashes(keys[base + i], h1s[i], util::Mix64(h1s[i]),
+                             &values[base + i]);
+      }
     }
-    ForEachGroup(keys, count, /*for_write=*/false,
-                 [&](size_t i, KeyArg key, uint64_t h1, uint64_t h2) {
-                   statuses[i] = SearchWithHashes(key, h1, h2, &values[i]);
-                 });
   }
 
-  // Write batches use the group pipeline under both settings: a Level
-  // write probes all four candidates while holding every involved stripe
-  // lock (LockAll), so there is no lock-free program point left to
-  // suspend at — the state machine would degenerate to exactly the group
-  // pipeline's prefetch-then-execute schedule.
+  // Write ops: a Level write probes all four candidates while holding
+  // every involved stripe lock (LockAll), so there is no lock-free program
+  // point left to suspend at. They run the fixed schedule: the one-pass
+  // prefetch stage, then the locked op bodies in index order.
 
   void MultiInsert(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h1, uint64_t h2) {
-                   statuses[i] = InsertWithHashes(key, values[i], h1, h2);
-                 });
+    util::AmacWriteBatch(
+        *epochs_, keys, count, Stage(/*for_write=*/true),
+        [&](size_t i, KeyArg key, uint64_t h1) {
+          statuses[i] = InsertWithHashes(key, values[i], h1, util::Mix64(h1));
+        });
   }
 
   void MultiUpdate(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h1, uint64_t h2) {
-                   statuses[i] = UpdateWithHashes(key, values[i], h1, h2);
-                 });
+    util::AmacWriteBatch(
+        *epochs_, keys, count, Stage(/*for_write=*/true),
+        [&](size_t i, KeyArg key, uint64_t h1) {
+          statuses[i] = UpdateWithHashes(key, values[i], h1, util::Mix64(h1));
+        });
   }
 
   void MultiDelete(const KeyArg* keys, size_t count, OpStatus* statuses) {
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h1, uint64_t h2) {
-                   statuses[i] = DeleteWithHashes(key, h1, h2);
-                 });
+    util::AmacWriteBatch(*epochs_, keys, count, Stage(/*for_write=*/true),
+                         [&](size_t i, KeyArg key, uint64_t h1) {
+                           statuses[i] =
+                               DeleteWithHashes(key, h1, util::Mix64(h1));
+                         });
   }
 
-  // Batch-engine selector (A/B testing hook; volatile).
-  void set_batch_pipeline(BatchPipeline p) { opts_.batch_pipeline = p; }
-
-  // Runs only the prefetch stage of the batch pipeline (pure hint; see
-  // DashEH::PrefetchBatch). No epoch guard needed: the stage computes
-  // candidate addresses without dereferencing them, and a prefetch of a
-  // concurrently retired block never faults.
+  // Runs only the prefetch stage (pure hint; see DashEH::PrefetchBatch).
   void PrefetchBatch(const KeyArg* keys, size_t count, bool for_write) const {
-    uint64_t h1s[util::kBatchGroupWidth];
-    uint64_t h2s[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      PrefetchGroup(keys + base, n, h1s, h2s, for_write);
-    }
+    util::AmacPrefetchOnly(*epochs_, keys, count, Stage(for_write));
   }
 
   LevelStats Stats() const {
@@ -328,27 +389,6 @@ class LevelHashing {
     LevelBucket* buckets[4];
     uint64_t ids[4];  // global bucket ids (top: [0,N), bottom: N + [0,N/2))
   };
-
-  // Batch scaffold: per group of
-  // kBatchGroupWidth operations run the prefetch stage and invoke
-  // exec(global_index, key, h1, h2) for each.
-  template <typename ExecFn>
-  void ForEachGroup(const KeyArg* keys, size_t count, bool for_write,
-                    ExecFn exec) {
-    uint64_t h1s[util::kBatchGroupWidth];
-    uint64_t h2s[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      // One guard per group: amortizes the seq-cst epoch pin over
-      // kBatchGroupWidth ops without stalling reclamation for the whole
-      // (unbounded) batch.
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, h1s, h2s, for_write);
-      for (size_t i = 0; i < n; ++i) {
-        exec(base + i, keys[base + i], h1s[i], h2s[i]);
-      }
-    }
-  }
 
   // ---- per-op bodies (caller holds an epoch guard) ----
 
@@ -437,106 +477,6 @@ class LevelHashing {
     return false;
   }
 
-  // ---- state-machine (AMAC) search engine ----
-  //
-  // Monotonic per-op machines scheduled as state passes (util/amac.h).
-  // Searches take no locks at all: one resize-version snapshot covers the
-  // group (the candidate pointers computed in the Hash pass stay valid
-  // across suspends — the epoch guard keeps even a concurrently retired
-  // bottom array mapped), each op revalidates the snapshot when it
-  // completes, and ops that lose the race against a resize commit finish
-  // through the single-op retry loop in a dedicated Retry pass. A resize
-  // therefore never waits for an in-flight group, and a group never
-  // blocks behind a resize already in progress at snapshot time only.
-
-  void AmacMultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
-                       OpStatus* statuses) {
-    util::AmacTelemetry& tele = util::AmacTelemetry::Local();
-    uint64_t h1s[util::kBatchGroupWidth];
-    Candidates cands[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      const uint32_t rs = SnapshotResize();
-      util::AmacGroupCounters ctr;
-      ++tele.groups;
-      tele.ops += n;
-      for (size_t i = 0; i < n; ++i) {
-        h1s[i] = KP::Hash(keys[base + i]);
-        cands[i] = Locate(h1s[i], util::Mix64(h1s[i]));
-        // First top candidate only: each later candidate is fetched
-        // lazily on a miss of the previous one, keeping the group's
-        // outstanding-prefetch burst within what the core's miss buffers
-        // can track (16 ops x 2 lines instead of x 4+).
-        util::PrefetchRange(cands[i].buckets[0], sizeof(LevelBucket));
-        ctr.Suspend(util::AmacState::kHash);
-      }
-      util::AmacReadyList second_pending;
-      util::AmacReadyList bottom_pending;
-      util::AmacReadyList retry_pending;
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        if (ProbeCandidateRangeOptimistic(cands[i], 0, 1, h1s[i],
-                                          keys[base + i],
-                                          &values[base + i])) {
-          if (resize_lock_.Verify(rs)) {
-            statuses[base + i] = OpStatus::kOk;
-          } else {
-            retry_pending.Push(i);
-            ctr.Suspend(util::AmacState::kRetry);
-          }
-          continue;
-        }
-        util::PrefetchRange(cands[i].buckets[1], sizeof(LevelBucket));
-        second_pending.Push(i);
-        ctr.Suspend(util::AmacState::kDirProbe);
-      }
-      for (size_t j = 0; j < second_pending.count; ++j) {
-        const size_t i = second_pending.idx[j];
-        ++ctr.steps;
-        if (ProbeCandidateRangeOptimistic(cands[i], 1, 2, h1s[i],
-                                          keys[base + i],
-                                          &values[base + i])) {
-          if (resize_lock_.Verify(rs)) {
-            statuses[base + i] = OpStatus::kOk;
-          } else {
-            retry_pending.Push(i);
-            ctr.Suspend(util::AmacState::kRetry);
-          }
-          continue;
-        }
-        util::PrefetchRange(cands[i].buckets[2], sizeof(LevelBucket));
-        util::PrefetchRange(cands[i].buckets[3], sizeof(LevelBucket));
-        bottom_pending.Push(i);
-        ctr.Suspend(util::AmacState::kBucketProbe);
-      }
-      for (size_t j = 0; j < bottom_pending.count; ++j) {
-        const size_t i = bottom_pending.idx[j];
-        ++ctr.steps;
-        // Bottom (standby) level reprobe over warm lines.
-        const bool found = ProbeCandidateRangeOptimistic(
-            cands[i], 2, 4, h1s[i], keys[base + i], &values[base + i]);
-        if (resize_lock_.Verify(rs)) {
-          statuses[base + i] = found ? OpStatus::kOk : OpStatus::kNotFound;
-        } else {
-          retry_pending.Push(i);
-          ctr.Suspend(util::AmacState::kRetry);
-        }
-      }
-      for (size_t j = 0; j < retry_pending.count; ++j) {
-        const size_t i = retry_pending.idx[j];
-        ++ctr.steps;
-        // A resize committed mid-group: redo against the live arrays
-        // (fresh snapshot, fresh candidate pointers).
-        lock_stats_.CountRetry();
-        statuses[base + i] =
-            SearchWithHashes(keys[base + i], h1s[i], util::Mix64(h1s[i]),
-                             &values[base + i]);
-      }
-      ctr.FlushTo(tele);
-    }
-  }
-
   OpStatus DeleteWithHashes(KeyArg key, uint64_t h1, uint64_t h2) {
     resize_lock_.LockShared();
     Candidates c = Locate(h1, h2);
@@ -573,16 +513,16 @@ class LevelHashing {
     return found ? OpStatus::kOk : OpStatus::kNotFound;
   }
 
-  // Stage 1 of the batch pipeline: hash the group and prefetch the first
-  // cacheline (bitmap word + first records) of all four candidate buckets.
-  // The top/bottom pointers and bucket count may be swapped by a
-  // concurrent resize (hence the atomic snapshot of the count — the
-  // resize commit writes it); the snapshot triple may be mutually
-  // inconsistent, which is fine because prefetches are never
-  // dereferenced, and the execute stage re-locates under the resize
-  // lock. A stale prefetch costs at most an extra miss.
-  void PrefetchGroup(const KeyArg* keys, size_t n, uint64_t* h1s,
-                     uint64_t* h2s, bool for_write) const {
+  // The batch engine's write/prefetch stage, one pass: hash the group into
+  // `h1s` and prefetch both cachelines of all four candidate buckets. The
+  // top/bottom pointers and bucket count may be swapped by a concurrent
+  // resize (hence the atomic snapshot of the count — the resize commit
+  // writes it); the snapshot triple may be mutually inconsistent, which
+  // is fine because prefetches are never dereferenced, and the op bodies
+  // re-locate under the resize lock. A stale prefetch costs at most an
+  // extra miss.
+  void PrefetchGroup(const KeyArg* keys, size_t n, bool for_write,
+                     uint64_t* h1s, util::AmacGroupCounters& ctr) const {
     const uint64_t buckets =
         reinterpret_cast<const std::atomic<uint64_t>*>(&root_->top_buckets)
             ->load(std::memory_order_acquire);
@@ -590,16 +530,26 @@ class LevelHashing {
     LevelBucket* bottom = Bottom();
     for (size_t i = 0; i < n; ++i) {
       h1s[i] = KP::Hash(keys[i]);
-      h2s[i] = util::Mix64(h1s[i]);
+      const uint64_t h2 = util::Mix64(h1s[i]);
       const LevelBucket* candidates[4] = {
-          &top[h1s[i] & (buckets - 1)], &top[h2s[i] & (buckets - 1)],
+          &top[h1s[i] & (buckets - 1)], &top[h2 & (buckets - 1)],
           &bottom[h1s[i] & (buckets / 2 - 1)],
-          &bottom[h2s[i] & (buckets / 2 - 1)]};
+          &bottom[h2 & (buckets / 2 - 1)]};
       for (const LevelBucket* b : candidates) {
         // Both cachelines: records 3-6 live entirely in the second line.
         util::PrefetchRange(b, sizeof(LevelBucket), for_write);
       }
+      ctr.Suspend(util::AmacState::kHash);
     }
+  }
+
+  // PrefetchGroup as the util/amac.h write and prefetch-only drivers call
+  // it.
+  auto Stage(bool for_write) const {
+    return [this, for_write](const KeyArg* keys, size_t n, uint64_t* h1s,
+                             util::AmacGroupCounters& ctr) {
+      PrefetchGroup(keys, n, for_write, h1s, ctr);
+    };
   }
 
   LevelBucket* Top() const {
